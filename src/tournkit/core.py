@@ -212,10 +212,6 @@ GENERATORS = {
 }
 
 
-def invert(gen: str) -> str:
-    return gen[:-3] if gen.endswith("^-1") else gen + "^-1"
-
-
 def _resolve_generator(token: str):
     base, inv = (token[:-3], True) if token.endswith("^-1") else (token, False)
     if base not in GENERATORS:

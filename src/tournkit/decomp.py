@@ -50,6 +50,14 @@ def is_autonomous(t: Tournament, subset) -> bool:
     return True
 
 
+def _bits(mask: int):
+    """Positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _cycle_count(t: Tournament, members) -> int:
     """Number of 3-cycles within members (total triples minus transitive ones)."""
     mask = 0
@@ -61,13 +69,7 @@ def _cycle_count(t: Tournament, members) -> int:
 
 
 def _first_cycle_in(t: Tournament, mask: int) -> tuple[int, int, int] | None:
-    members = []
-    m = mask
-    while m:
-        low = m & -m
-        members.append(low.bit_length() - 1)
-        m ^= low
-    for tri in itertools.combinations(members, 3):
+    for tri in itertools.combinations(_bits(mask), 3):
         if _cycle_count(t, tri) == 1:
             return tri
     return None
@@ -108,47 +110,82 @@ def separated(t: Tournament, x: int, y: int) -> SeparationWitness | None:
     return None
 
 
+def _closure(t: Tournament, x: int, y: int) -> int:
+    """Bitmask of the smallest autonomous set containing x and y.
+
+    Autonomous sets that meet intersect in an autonomous set, so this set is
+    unique.  An outside vertex that beats one member and is beaten by another
+    lies in every autonomous set holding the members; such splitters are
+    added one at a time until none is left, O(n) big-int operations.
+    """
+    rows = t.rows
+    mask = (1 << x) | (1 << y)
+    beaten = rows[x] | rows[y]
+    beating = t.in_mask(x) | t.in_mask(y)
+    splitters = beaten & beating & ~mask
+    while splitters:
+        low = splitters & -splitters
+        v = low.bit_length() - 1
+        mask |= low
+        beaten |= rows[v]
+        beating |= t.in_mask(v)
+        splitters = beaten & beating & ~mask
+    return mask
+
+
+def _is_acyclic_mask(t: Tournament, mask: int) -> bool:
+    """The restriction to mask is transitive: its out-degrees are distinct."""
+    degrees = set()
+    for v in _bits(mask):
+        d = (t.rows[v] & mask).bit_count()
+        if d in degrees:
+            return False
+        degrees.add(d)
+    return True
+
+
+def _together(t: Tournament, x: int, y: int) -> bool:
+    """x and y share an acyclic autonomous set, i.e. their closure is acyclic.
+
+    Every subset of an acyclic set is acyclic, and every autonomous set
+    holding x and y contains their closure.
+    """
+    return _is_acyclic_mask(t, _closure(t, x, y))
+
+
+def _classes(masks) -> tuple[tuple[int, ...], ...]:
+    """Classes of a partition given as each vertex's class bitmask, ordered
+    by least vertex."""
+    return tuple(tuple(_bits(m)) for m in dict.fromkeys(masks))
+
+
 def acyclic_components(t: Tournament) -> Decomposition:
     """Partition into maximal acyclic autonomous blocks with the quotient.
 
-    Blocks are the classes of the non-separation relation, ordered by least
-    vertex; the quotient takes one vertex per block.  The result is checked
-    (blocks acyclic and autonomous, relation transitive, quotient free of
-    non-trivial acyclic autonomous sets) and INTERNAL_INCONSISTENCY signals a
-    bug, never an expected outcome.
+    x and y share a block iff their closure, the smallest autonomous set
+    holding both, is acyclic.  Blocks are ordered by least vertex; the
+    quotient takes one vertex per block.  The result is checked (relation
+    transitive, blocks acyclic and autonomous, quotient free of non-trivial
+    acyclic autonomous sets) and INTERNAL_INCONSISTENCY signals a bug, never
+    an expected outcome.
     """
     n = t.n
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    sep: dict[tuple[int, int], bool] = {}
+    together = [1 << v for v in range(n)]
     for x, y in itertools.combinations(range(n), 2):
-        w = separated(t, x, y)
-        sep[(x, y)] = w is not None
-        if w is None:
-            parent[find(x)] = find(y)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+        if _together(t, x, y):
+            together[x] |= 1 << y
+            together[y] |= 1 << x
+    blocks = _classes(together)
     for b in blocks:
-        for x, y in itertools.combinations(b, 2):
-            if sep[(x, y)]:
-                raise TournamentError("INTERNAL_INCONSISTENCY", "non-separation relation is not transitive")
+        if any(together[v] != together[b[0]] for v in b):
+            raise TournamentError("INTERNAL_INCONSISTENCY", "non-separation relation is not transitive")
         if not is_acyclic(restrict(t, b)):
             raise TournamentError("INTERNAL_INCONSISTENCY", f"block {b} is not acyclic")
         if not is_autonomous(t, b):
             raise TournamentError("INTERNAL_INCONSISTENCY", f"block {b} is not autonomous")
-    reps = [b[0] for b in blocks]
-    quotient = restrict(t, reps)
-    for i, j in itertools.combinations(range(quotient.n), 2):
-        if separated(quotient, i, j) is None:
-            raise TournamentError("INTERNAL_INCONSISTENCY", "quotient has a non-trivial acyclic autonomous set")
+    quotient = restrict(t, [b[0] for b in blocks])
+    if not is_acyclically_indecomposable(quotient):
+        raise TournamentError("INTERNAL_INCONSISTENCY", "quotient has a non-trivial acyclic autonomous set")
     spectrum = tuple(sorted((len(b) for b in blocks), reverse=True))
     return Decomposition(blocks, quotient, spectrum)
 
@@ -159,23 +196,16 @@ def spectrum(t: Tournament) -> tuple[int, ...]:
 
 
 def is_acyclically_indecomposable(t: Tournament) -> bool:
-    """No acyclic autonomous set has more than one element."""
-    if t.n >= 2 and is_acyclic(t):
-        return False
-    for x, y in itertools.combinations(range(t.n), 2):
-        if separated(t, x, y) is None:
-            return False
-    return True
+    """No acyclic autonomous set has more than one element: no pair of
+    vertices has an acyclic closure."""
+    return not any(_together(t, x, y) for x, y in itertools.combinations(range(t.n), 2))
 
 
 def is_indecomposable(t: Tournament) -> bool:
-    """No autonomous set strictly between one vertex and all of them."""
-    n = t.n
-    for size in range(2, n):
-        for subset in itertools.combinations(range(n), size):
-            if is_autonomous(t, subset):
-                return False
-    return True
+    """No autonomous set strictly between one vertex and all of them: the
+    closure of every pair is the whole vertex set."""
+    full = (1 << t.n) - 1
+    return all(_closure(t, x, y) == full for x, y in itertools.combinations(range(t.n), 2))
 
 
 def _common_cycle_mask(t: Tournament, a: int, b: int) -> int:
@@ -193,50 +223,27 @@ def monomorphic_components(t: Tournament) -> tuple[tuple[int, ...], ...]:
     acyclic with the pair plus C autonomous.
     """
     n = t.n
-    comp = acyclic_components(t).blocks
-    parent = list(range(n))
+    part = [1 << v for v in range(n)]
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def join(*vs):
+        m = 0
+        for v in vs:
+            m |= part[v]
+        for v in _bits(m):
+            part[v] = m
 
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for b in comp:
-        for v in b[1:]:
-            union(b[0], v)
+    for b in acyclic_components(t).blocks:
+        join(*b)
     for x, y in itertools.combinations(range(n), 2):
-        if find(x) == find(y):
+        if (part[x] >> y) & 1:
             continue
         zs = _common_cycle_mask(t, x, y)
-        m = zs
-        joined = False
-        while m:
-            low = m & -m
-            m ^= low
-            z = low.bit_length() - 1
-            if is_autonomous(t, (x, y, z)):
-                union(x, y)
-                union(x, z)
-                joined = True
-                break
-        if joined:
-            continue
-        cset = [x, y]
-        mm = zs
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            cset.append(low.bit_length() - 1)
-        if is_acyclic(restrict(t, cset[2:])) and is_autonomous(t, cset):
-            union(x, y)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+        z = next((z for z in _bits(zs) if is_autonomous(t, (x, y, z))), None)
+        if z is not None:
+            join(x, y, z)
+        elif _is_acyclic_mask(t, zs) and is_autonomous(t, [x, y, *_bits(zs)]):
+            join(x, y)
+    return _classes(part)
 
 
 def is_monomorphic_part_oracle(t: Tournament, subset) -> bool:

@@ -121,13 +121,9 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
                         rows[j] |= 1 << (n - 1)
                 rows.append(mask)
                 seen.add(canonical_form(Tournament(n, rows, validate=False)).bits)
-        reps = [tournament_from_code_bits(n, bits) for bits in sorted(seen)]
+        reps = [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(seen)]
     _REPS[n] = reps
     return list(reps)
-
-
-def tournament_from_code_bits(n: int, bits: int) -> Tournament:
-    return tournament_from_code(CanonicalCode(n, bits))
 
 
 def _random_tournament(rng: random.Random, n: int) -> Tournament:

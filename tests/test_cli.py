@@ -71,6 +71,17 @@ class TestQueries:
         data = json.loads(out)
         assert data["spectrum"][0] == 2
 
+    def test_decompose_prime_v15(self, tmp_path, capsys):
+        # 31 vertices: a 2^31 autonomous-subset scan would never finish here
+        f = tmp_path / "v15.t"
+        run(capsys, "gen", "--family", "v", "--n", "15", "-o", str(f))
+        code, out, _ = run(capsys, "decompose", str(f))
+        assert code == 0
+        data = json.loads(out)
+        assert data["indecomposable"] is True
+        assert data["acyclically_indecomposable"] is True
+        assert data["spectrum"] == [1] * 31
+
     def test_profile(self, tmp_path, capsys):
         f = tmp_path / "c34.t"
         run(capsys, "gen", "--family", "c3", "--n", "4", "-o", str(f))

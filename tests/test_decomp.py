@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from tournkit.core import (
@@ -15,6 +17,8 @@ from tournkit.decomp import (
     DIAMOND,
     DOUBLE_DIAMOND,
     THREE_CYCLE,
+    _closure,
+    _together,
     acyclic_components,
     is_acyclically_indecomposable,
     is_autonomous,
@@ -25,6 +29,8 @@ from tournkit.decomp import (
     separated,
     spectrum,
 )
+from tournkit.families import KINDS, family
+from tournkit.verify import enumerate_tournaments
 
 from conftest import all_labeled_tournaments, random_tournament
 from test_core import diamond
@@ -32,14 +38,19 @@ from test_core import diamond
 
 def brute_acyclic_autonomous_sets(t):
     """Every subset that is both acyclic and autonomous, by definition."""
-    from itertools import combinations
-
     out = []
     for k in range(1, t.n + 1):
         for sub in combinations(range(t.n), k):
             if is_acyclic(restrict(t, sub)) and is_autonomous(t, sub):
                 out.append(frozenset(sub))
     return out
+
+
+def subset_scan_indecomposable(t):
+    """No autonomous subset strictly between one vertex and all: 2^n scan."""
+    return not any(
+        is_autonomous(t, sub) for k in range(2, t.n) for sub in combinations(range(t.n), k)
+    )
 
 
 class TestAutonomous:
@@ -199,16 +210,50 @@ class TestIndecomposability:
         assert is_acyclically_indecomposable(chain(1))
 
     def test_indecomposable_brute(self, rng):
-        from itertools import combinations
-
         for _ in range(40):
             t = random_tournament(rng, rng.randint(2, 6))
-            brute = not any(
-                is_autonomous(t, sub)
-                for k in range(2, t.n)
+            assert is_indecomposable(t) == subset_scan_indecomposable(t)
+
+    def test_indecomposable_matches_subset_scan_exhaustive(self):
+        for n in range(8):
+            for t in enumerate_tournaments(n):
+                assert is_indecomposable(t) == subset_scan_indecomposable(t)
+
+
+class TestClosure:
+    def test_least_autonomous_superset(self, rng):
+        for _ in range(60):
+            t = random_tournament(rng, rng.randint(2, 6))
+            x, y = rng.sample(range(t.n), 2)
+            supersets = [
+                sum(1 << v for v in sub)
+                for k in range(2, t.n + 1)
                 for sub in combinations(range(t.n), k)
-            )
-            assert is_indecomposable(t) == brute
+                if x in sub and y in sub and is_autonomous(t, sub)
+            ]
+            least = min(supersets, key=int.bit_count)
+            assert all(m & least == least for m in supersets)
+            assert _closure(t, x, y) == least
+
+    def test_together_matches_separated_exhaustive(self):
+        for n in range(2, 8):
+            for t in enumerate_tournaments(n):
+                for x, y in combinations(range(n), 2):
+                    assert _together(t, x, y) == (separated(t, x, y) is None)
+
+    def test_together_matches_separated_large(self, rng):
+        cases = [random_tournament(rng, rng.randint(10, 40)) for _ in range(6)]
+        for k in (2, 3, 4, 5):
+            index = random_tournament(rng, k)
+            cases.append(lex_sum(index, [chain(rng.randint(1, 6)) for _ in range(k)]))
+        cases += [family(kind, 6) for kind in KINDS]
+        cases.append(family("v", 19))
+        for t in cases:
+            for x, y in combinations(range(t.n), 2):
+                assert _together(t, x, y) == (separated(t, x, y) is None)
+
+    def test_long_chain_single_block(self):
+        assert acyclic_components(chain(160)).blocks == (tuple(range(160)),)
 
 
 class TestMonomorphic:
