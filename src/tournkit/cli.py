@@ -8,7 +8,7 @@ import sys
 
 from . import tfile
 from .core import ChainSpec, Tournament, TournamentError, canonical_form, embeds, find_embedding
-from .decomp import acyclic_components, is_acyclically_indecomposable, is_indecomposable, monomorphic_components
+from .decomp import _monomorphic_classes, acyclic_components, is_acyclically_indecomposable, is_indecomposable
 from .families import KINDS, WITNESS_NAMES, checked_family, family, schmerl_trotter, witness
 from .profiles import SumSpec, UNBOUNDED, growth_of_sum, series_fit, sum_profile_sequence, profile_sequence
 from .verify import (
@@ -70,9 +70,11 @@ def _cmd_decompose(args) -> int:
             "blocks": [list(b) for b in d.blocks],
             "spectrum": list(d.spectrum),
             "quotient": {"n": d.quotient.n, "matrix": _matrix(d.quotient)},
-            "acyclically_indecomposable": is_acyclically_indecomposable(t),
+            # the blocks are the classes of "closure is acyclic", so this is
+            # is_acyclically_indecomposable(t) without a second decomposition
+            "acyclically_indecomposable": all(len(b) == 1 for b in d.blocks),
             "indecomposable": is_indecomposable(t),
-            "monomorphic_components": [list(b) for b in monomorphic_components(t)],
+            "monomorphic_components": [list(b) for b in _monomorphic_classes(t, d.blocks)],
         }
     )
     return 0
@@ -151,7 +153,7 @@ def _cmd_verify(args) -> int:
     elif args.suite == "duality":
         report = check_duality(args.max_chain)
     else:
-        report = check_compactness(args.n, args.size_bound, threads=args.threads)
+        report = check_compactness(args.n, args.size_bound)
     sys.stdout.write(report.to_json() + "\n")
     if report.elapsed is not None:
         print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
@@ -208,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-chain", type=int, default=5)
     p.add_argument("--n", type=int, default=2, help="chain length for compactness members")
     p.add_argument("--size-bound", type=int, default=8)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
     return parser
 

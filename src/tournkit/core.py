@@ -260,70 +260,106 @@ def is_acyclic(t: Tournament) -> bool:
 _CANON_CACHE: dict[tuple[int, ...], int] = {}
 
 
-def _canonical_bits(rows: tuple[int, ...]) -> int:
-    """Minimal row-major upper-triangle code over all relabelings.
+def _orbit(mask: int, gens) -> int:
+    """Closure of the vertex set mask under the permutations gens."""
+    todo = mask
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        for g in gens:
+            image = 1 << g[low.bit_length() - 1]
+            if not image & mask:
+                mask |= image
+                todo |= image
+    return mask
 
-    Depth-first placement with an ordered partition of the unplaced vertices.
-    Cells stay homogeneous towards every placed vertex, so the rows emitted so
-    far are fully determined; candidate rows are compared against the current
-    best prefix and losing branches are cut.  Within a refinement the losers
-    of the new vertex go first: that minimises the emitted row and cannot
-    affect earlier ones.
+
+def _search(rows: tuple[int, ...]):
+    """Lex-min code, the first leaf's labeling and automorphism generators.
+
+    Depth-first placement with an ordered partition of the unplaced vertices
+    into bitmask cells, each homogeneous towards every placed vertex; the
+    losers of the new vertex go first, which minimises its row.  Only the
+    first cell's candidates with the least row are tried; a node above the
+    best code and off the first leaf's code is cut.  A leaf equal to the
+    first or best leaf gives an automorphism generator and a jump back to
+    the two leaves' common ancestor.  A candidate in the orbit of an explored
+    sibling under the generators fixing the placed vertices is skipped
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).
     """
     n = len(rows)
-    if n <= 1:
-        return 0
-    best: list[int] | None = None
+    first = best = first_order = best_order = None
+    gens: list[tuple[list[int], int]] = []  # (image of each vertex, moved vertices)
+    cur: list[int] = []  # rows emitted so far
+    order: list[int] = []  # vertices placed so far
 
-    def rec(cells, cur):
-        nonlocal best
-        d = len(cur)
+    def rec(cells, d, placed, same_first, vs_best):
+        # same_first: prefix equals the first leaf's; vs_best: sign of prefix - best
+        nonlocal first, best, first_order, best_order
         if d == n:
-            code = cur.copy()
-            if best is None or code < best:
-                best = code
-            return
-        first = cells[0]
-        cand = []
-        for v in first:
+            if first is not None and (same_first or vs_best == 0):
+                ref = first_order if same_first else best_order
+                moved = sum(1 << a for a, b in zip(ref, order) if a != b)
+                gens.append(([b for _, b in sorted(zip(ref, order))], moved))
+                return next(i for i in range(n) if ref[i] != order[i])
+            best, best_order = cur.copy(), order.copy()
+            if first is None:
+                first, first_order = best, best_order
+            return n
+        head, rest = cells[0], cells[1:]
+        low_row, targets = -1, 0
+        m = head
+        while m:
+            low = m & -m
+            m ^= low
+            rv = rows[low.bit_length() - 1]
+            row = (1 << (head & rv).bit_count()) - 1
+            for c in rest:
+                row = (row << c.bit_count()) | ((1 << (c & rv).bit_count()) - 1)
+            if low_row < 0 or row < low_row:
+                low_row, targets = row, low
+            elif row == low_row:
+                targets |= low
+        if first is not None:
+            same_first = same_first and low_row == first[d]
+            if vs_best == 0:
+                vs_best = (low_row > best[d]) - (low_row < best[d])
+            if vs_best > 0 and not same_first:
+                return n
+        cur.append(low_row)
+        explored = orbits = 0
+        seen, jump = -1, n  # a jump to depth d or deeper resumes the loop here
+        while targets and jump >= d:
+            low = targets & -targets
+            targets ^= low
+            if explored and seen != len(gens):
+                seen = len(gens)
+                orbits = _orbit(explored, [g for g, moved in gens if not moved & placed])
+            if low & orbits:
+                continue
+            v = low.bit_length() - 1
             rv = rows[v]
-            newcells = []
-            rowbits = 0
-            rest = tuple(u for u in first if u != v)
-            for cell in (rest,) + cells[1:]:
-                if not cell:
-                    continue
-                ins = tuple(u for u in cell if not (rv >> u) & 1)
-                outs = tuple(u for u in cell if (rv >> u) & 1)
-                if ins:
-                    rowbits <<= len(ins)
-                    newcells.append(ins)
-                if outs:
-                    rowbits = (rowbits << len(outs)) | ((1 << len(outs)) - 1)
-                    newcells.append(outs)
-            cand.append((rowbits, v, tuple(newcells)))
-        cand.sort(key=lambda item: item[0])
-        for rowbits, _v, newcells in cand:
-            if best is not None:
-                rel = 0  # fresh prefix comparison; best can move between iterations
-                for i in range(d):
-                    if cur[i] != best[i]:
-                        rel = -1 if cur[i] < best[i] else 1
-                        break
-                if rel == 1:
-                    break
-                if rel == 0 and rowbits > best[d]:
-                    break
-            cur.append(rowbits)
-            rec(newcells, cur)
-            cur.pop()
+            newcells = [x for c in (head ^ low, *rest) for x in (c & ~rv, c & rv) if x]
+            before = best
+            order.append(v)
+            jump = rec(newcells, d + 1, placed | low, same_first, vs_best)
+            order.pop()
+            if best is not before:  # a new best below shares this prefix
+                vs_best = 0
+            explored, orbits, seen = explored | low, orbits | low, -1
+        cur.pop()
+        return jump
 
-    rec((tuple(range(n)),), [])
-    assert best is not None
+    rec([(1 << n) - 1], 0, 0, True, -1)
     code = 0
     for d, rowbits in enumerate(best):
         code = (code << (n - 1 - d)) | rowbits
-    return code
+    return code, first_order, gens
+
+
+def _canonical_bits(rows: tuple[int, ...]) -> int:
+    """Minimal row-major upper-triangle code over all relabelings, uncached."""
+    return _search(rows)[0]
 
 
 def canonical_form(t: Tournament) -> CanonicalCode:
@@ -395,14 +431,12 @@ def find_embedding(pattern: Tournament, host: Tournament) -> list[int] | None:
             m ^= low
             v = low.bit_length() - 1
             new = dict(cands)
-            ok = True
             for w in rest:
                 narrowed = cands[w] & (host.rows[v] if pattern.edge(u, w) else host.in_mask(v))
                 if narrowed == 0:
-                    ok = False
                     break
                 new[w] = narrowed
-            if ok:
+            else:
                 assigned[u] = v
                 if rec(new, rest):
                     return True
@@ -419,45 +453,14 @@ def embeds(pattern: Tournament, host: Tournament) -> bool:
 
 
 def automorphism_count(t: Tournament) -> int:
-    """Number of self-embeddings."""
-    n = t.n
-    if n == 0:
-        return 1
-    out = [r.bit_count() for r in t.rows]
-    cand = []
-    for u in range(n):
-        m = 0
-        for v in range(n):
-            if out[v] == out[u]:
-                m |= 1 << v
-        cand.append(m)
-    t.in_mask(0)
-    count = 0
-
-    def rec(cands, remaining):
-        nonlocal count
-        if not remaining:
-            count += 1
-            return
-        u = min(remaining, key=lambda w: cands[w].bit_count())
-        rest = remaining - {u}
-        m = cands[u]
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            new = dict(cands)
-            ok = True
-            for w in rest:
-                narrowed = cands[w] & (t.rows[v] if t.edge(u, w) else t.in_mask(v))
-                if narrowed == 0:
-                    ok = False
-                    break
-                new[w] = narrowed
-            if ok:
-                rec(new, rest)
-
-    rec(dict(enumerate(cand)), set(range(n)))
+    """Number of automorphisms by orbit-stabiliser: the product, along the
+    canonical search's first leaf, of each placed vertex's orbit size under
+    the generators fixing the vertices placed before it."""
+    _, base, gens = _search(t.rows)
+    count, placed = 1, 0
+    for v in base:
+        count *= _orbit(1 << v, [g for g, moved in gens if not moved & placed]).bit_count()
+        placed |= 1 << v
     return count
 
 
@@ -467,12 +470,6 @@ def relabel(t: Tournament, perm) -> Tournament:
     if sorted(perm) != list(range(t.n)):
         raise TournamentError("OUT_OF_RANGE", "not a permutation of the vertices")
     rows = [0] * t.n
-    for i in range(t.n):
-        r = t.rows[i]
-        bits = 0
-        while r:
-            low = r & -r
-            bits |= 1 << perm[low.bit_length() - 1]
-            r ^= low
-        rows[perm[i]] = bits
+    for i, r in enumerate(t.rows):
+        rows[perm[i]] = sum(1 << perm[j] for j in range(t.n) if (r >> j) & 1)
     return Tournament(t.n, rows, validate=False)

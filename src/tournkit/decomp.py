@@ -222,6 +222,11 @@ def monomorphic_components(t: Tournament) -> tuple[tuple[int, ...], ...]:
     an autonomous 3-cycle, or form a pair whose common-cycle vertex set C is
     acyclic with the pair plus C autonomous.
     """
+    return _monomorphic_classes(t, acyclic_components(t).blocks)
+
+
+def _monomorphic_classes(t: Tournament, blocks) -> tuple[tuple[int, ...], ...]:
+    """``monomorphic_components`` given the blocks of the acyclic decomposition."""
     n = t.n
     part = [1 << v for v in range(n)]
 
@@ -232,7 +237,7 @@ def monomorphic_components(t: Tournament) -> tuple[tuple[int, ...], ...]:
         for v in _bits(m):
             part[v] = m
 
-    for b in acyclic_components(t).blocks:
+    for b in blocks:
         join(*b)
     for x, y in itertools.combinations(range(n), 2):
         if (part[x] >> y) & 1:

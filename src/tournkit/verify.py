@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import tfile
@@ -15,6 +14,7 @@ from .core import (
     DESCENDING,
     Tournament,
     TournamentError,
+    _canonical_bits,
     canonical_form,
     dual,
     embeds,
@@ -101,7 +101,9 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
 
     Grown by extending the (n-1)-vertex representatives with every possible
     new vertex and deduplicating canonically; every n-class restricts to some
-    (n-1)-class, so the extension sweep is exhaustive.
+    (n-1)-class, so the extension sweep is exhaustive.  The children are
+    canonized without ``canonical_form``: each rows tuple occurs once, so
+    caching their codes would only hold memory.
     """
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
@@ -120,7 +122,7 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
                     if not (mask >> j) & 1:
                         rows[j] |= 1 << (n - 1)
                 rows.append(mask)
-                seen.add(canonical_form(Tournament(n, rows, validate=False)).bits)
+                seen.add(_canonical_bits(tuple(rows)))
         reps = [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(seen)]
     _REPS[n] = reps
     return list(reps)
@@ -312,7 +314,7 @@ def check_duality(max_chain: int = 5) -> SuiteReport:
     return report
 
 
-def check_compactness(n: int, size_bound: int = 8, threads: int = 1) -> SuiteReport:
+def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
     """Scan all small acyclically indecomposable tournaments for family avoidance.
 
     For each size s <= size_bound, lists the representatives that contain no
@@ -323,8 +325,6 @@ def check_compactness(n: int, size_bound: int = 8, threads: int = 1) -> SuiteRep
         raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
     if size_bound > 8:
         raise TournamentError("TOO_LARGE", "size bound limited to 8")
-    # thread count is an execution detail and is kept out of the report so
-    # serialised output does not depend on it
     report = SuiteReport("compactness", {"n": n, "size_bound": size_bound})
     t0 = time.perf_counter()
     members = []
@@ -344,12 +344,7 @@ def check_compactness(n: int, size_bound: int = 8, threads: int = 1) -> SuiteRep
     smallest_empty = None
     for s in range(1, size_bound + 1):
         reps = [t for t in enumerate_tournaments(s) if is_acyclically_indecomposable(t)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                flags = list(pool.map(survives, reps))
-        else:
-            flags = [survives(t) for t in reps]
-        avoiders = [t for t, f in zip(reps, flags) if f]
+        avoiders = [t for t in reps if survives(t)]
         verified = all(is_acyclically_indecomposable(t) for t in avoiders)
         report.add(
             f"size_{s}",

@@ -1,11 +1,21 @@
 import json
+import random
 
 import pytest
 
+from tournkit import cli, decomp
 from tournkit.cli import main
-from tournkit.core import canonical_form
+from tournkit.core import canonical_form, chain, cycle3, lex_sum
+from tournkit.decomp import (
+    acyclic_components,
+    is_acyclically_indecomposable,
+    is_indecomposable,
+    monomorphic_components,
+)
 from tournkit.families import family, witness
-from tournkit.tfile import load_path
+from tournkit.tfile import dump_path, dumps, load_path
+
+from conftest import random_tournament
 
 
 def run(capsys, *argv):
@@ -107,6 +117,47 @@ class TestQueries:
         assert code == 2
         assert "cap" in err
 
+    @pytest.mark.parametrize(
+        "t",
+        [
+            chain(1),
+            cycle3(),
+            chain(7),
+            lex_sum(cycle3(), [chain(3)] * 3),
+            family("c3", 3),
+            family("v", 4),
+            family("t", 5),
+            witness("tau2"),
+            *(random_tournament(random.Random(seed), 9) for seed in range(4)),
+        ],
+    )
+    def test_decompose_one_decomposition(self, t, tmp_path, capsys, monkeypatch):
+        # the output the command printed when it ran each library call on its own
+        d = acyclic_components(t)
+        payload = {
+            "n": t.n,
+            "blocks": [list(b) for b in d.blocks],
+            "spectrum": list(d.spectrum),
+            "quotient": {"n": d.quotient.n, "matrix": dumps(d.quotient).splitlines()[1:]},
+            "acyclically_indecomposable": is_acyclically_indecomposable(t),
+            "indecomposable": is_indecomposable(t),
+            "monomorphic_components": [list(b) for b in monomorphic_components(t)],
+        }
+        f = tmp_path / "t.t"
+        dump_path(t, f)
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return acyclic_components(t)
+
+        monkeypatch.setattr(cli, "acyclic_components", counted)
+        monkeypatch.setattr(decomp, "acyclic_components", counted)
+        code, out, _ = run(capsys, "decompose", str(f))
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert len(calls) == 1
+
     def test_embed(self, tmp_path, capsys):
         pat = tmp_path / "p.t"
         host = tmp_path / "h.t"
@@ -140,9 +191,7 @@ class TestVerifyCommand:
 
     def test_compactness_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "5")
-        code2, out2, _ = run(
-            capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "5", "--threads", "2"
-        )
+        code2, out2, _ = run(capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "5")
         assert code1 == code2 == 0
         assert out1 == out2
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from tournkit.core import (
     skew_product,
     tournament_from_code,
 )
+from tournkit.families import KINDS, family
+from tournkit.verify import enumerate_tournaments
 
 from conftest import all_labeled_tournaments, random_tournament
 
@@ -282,3 +285,194 @@ class TestAutomorphisms:
             for rep in classes.values():
                 total += math.factorial(n) // automorphism_count(rep)
             assert total == 2 ** (n * (n - 1) // 2)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the canonical search and the automorphism count as they were
+# before orbit pruning, kept verbatim
+
+
+def oracle_canonical_bits(rows: tuple[int, ...]) -> int:
+    n = len(rows)
+    if n <= 1:
+        return 0
+    best: list[int] | None = None
+
+    def rec(cells, cur):
+        nonlocal best
+        d = len(cur)
+        if d == n:
+            code = cur.copy()
+            if best is None or code < best:
+                best = code
+            return
+        first = cells[0]
+        cand = []
+        for v in first:
+            rv = rows[v]
+            newcells = []
+            rowbits = 0
+            rest = tuple(u for u in first if u != v)
+            for cell in (rest,) + cells[1:]:
+                if not cell:
+                    continue
+                ins = tuple(u for u in cell if not (rv >> u) & 1)
+                outs = tuple(u for u in cell if (rv >> u) & 1)
+                if ins:
+                    rowbits <<= len(ins)
+                    newcells.append(ins)
+                if outs:
+                    rowbits = (rowbits << len(outs)) | ((1 << len(outs)) - 1)
+                    newcells.append(outs)
+            cand.append((rowbits, v, tuple(newcells)))
+        cand.sort(key=lambda item: item[0])
+        for rowbits, _v, newcells in cand:
+            if best is not None:
+                rel = 0
+                for i in range(d):
+                    if cur[i] != best[i]:
+                        rel = -1 if cur[i] < best[i] else 1
+                        break
+                if rel == 1:
+                    break
+                if rel == 0 and rowbits > best[d]:
+                    break
+            cur.append(rowbits)
+            rec(newcells, cur)
+            cur.pop()
+
+    rec((tuple(range(n)),), [])
+    code = 0
+    for d, rowbits in enumerate(best):
+        code = (code << (n - 1 - d)) | rowbits
+    return code
+
+
+def oracle_automorphism_count(t: Tournament) -> int:
+    n = t.n
+    if n == 0:
+        return 1
+    out = [r.bit_count() for r in t.rows]
+    cand = [sum(1 << v for v in range(n) if out[v] == out[u]) for u in range(n)]
+    count = 0
+
+    def rec(cands, remaining):
+        nonlocal count
+        if not remaining:
+            count += 1
+            return
+        u = min(remaining, key=lambda w: cands[w].bit_count())
+        rest = remaining - {u}
+        m = cands[u]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            new = dict(cands)
+            ok = True
+            for w in rest:
+                narrowed = cands[w] & (t.rows[v] if t.edge(u, w) else t.in_mask(v))
+                if narrowed == 0:
+                    ok = False
+                    break
+                new[w] = narrowed
+            if ok:
+                rec(new, rest)
+
+    rec(dict(enumerate(cand)), set(range(n)))
+    return count
+
+
+def paley(q: int) -> Tournament:
+    """Paley tournament on Z_q (q prime, q = 3 mod 4): i beats j iff j - i is a square."""
+    squares = {x * x % q for x in range(1, q)}
+    return Tournament(q, [sum(1 << j for j in range(q) if (j - i) % q in squares) for i in range(q)])
+
+
+# Codes of the unpruned search above, computed once; it needs from 1 s
+# (c3 over 8) to about 100 s (c3 over 12) for these.
+PINNED_CODES = {
+    ("c3", 8): "20000000000c00004000380006000f0007003e00780fc07c3f87eff7ffffffff",
+    ("c3", 9): "20000000000030000020000380000c0003c00038003e000f003f003e03f80fc3fc3fbfefffffffffff",
+    ("c3", 10): "40000000000001800000200000700000300001e0000380007c0003c001f8003e007f003f01fe03f87fc3fdffbfffffffffffff",
+    ("c3", 11): (
+        "100000000000000180000004000001c000001800001e00000700001f00001e0001f80007c001fc001f801fe007f01ff01fe1ff87fdf"
+        "fdffffffffffffffff"),
+    ("c3", 12): (
+        "80000000000000003000000010000000e00000018000003c000001c00000f800001e00003f00001f0000fe0001f8003f"
+        "c001fc00ff801fe03ff01ff0ffe1ffbffdfffffffffffffffffff"),
+    ("paley", 43): (
+        "3ffffe007fe003ff0387e1fc070b70dc3872545c9327c2146be213943812c72f30695589baa305f28a34dc29c3646cf6"
+        "07266e614434a5f12ac378b1571522d6d89628472b2a78f0728d3e502e0a5db9470b384d5949d4c8be6c44fb5e04cd7a"
+        "e82ed322a5ae94929b19364666d82"),
+}
+
+
+def relabeled(t: Tournament, r: random.Random) -> Tournament:
+    perm = list(range(t.n))
+    r.shuffle(perm)
+    return relabel(t, perm)
+
+
+class TestCanonicalOracle:
+    def test_all_classes_up_to_7(self, rng):
+        for n in range(8):
+            for t in enumerate_tournaments(n):
+                want = oracle_canonical_bits(t.rows)
+                assert canonical_form(t).bits == want
+                for _ in range(2):
+                    assert canonical_form(relabeled(t, rng)).bits == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(tournaments(max_n=40))
+    def test_random_inputs(self, t):
+        assert canonical_form(t).bits == oracle_canonical_bits(t.rows)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_family_members(self, kind, rng):
+        for length in range(1, 13):
+            t = family(kind, length)
+            if (kind, length) in PINNED_CODES:
+                want = int(PINNED_CODES[kind, length], 16)
+            else:
+                want = oracle_canonical_bits(t.rows)
+            assert canonical_form(t).bits == want, (kind, length)
+            assert canonical_form(relabeled(t, rng)).bits == want, (kind, length)
+
+    @pytest.mark.parametrize("q", [19, 31, 43])
+    def test_paley(self, q, rng):
+        t = paley(q)
+        want = int(PINNED_CODES["paley", q], 16) if ("paley", q) in PINNED_CODES else oracle_canonical_bits(t.rows)
+        assert canonical_form(t).bits == want
+        assert canonical_form(relabeled(t, rng)).bits == want
+
+    def test_c3_over_20(self, rng):
+        # 60 vertices, 3^20 automorphisms: the unpruned search never ends here
+        t = family("c3", 20)
+        code = canonical_form(t)
+        assert canonical_form(relabeled(t, rng)) == code
+        assert is_isomorphic(tournament_from_code(code), t)
+
+
+class TestAutomorphismOracle:
+    def test_all_classes_up_to_7(self):
+        for n in range(8):
+            for t in enumerate_tournaments(n):
+                assert automorphism_count(t) == oracle_automorphism_count(t)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_orbit_sum_is_labeled_count(self, n):
+        total = sum(math.factorial(n) // automorphism_count(t) for t in enumerate_tournaments(n))
+        assert total == 2 ** (n * (n - 1) // 2)
+
+    def test_c3_family(self, rng):
+        for length in range(1, 21):
+            assert automorphism_count(family("c3", length)) == 3**length
+        assert automorphism_count(relabeled(family("c3", 20), rng)) == 3**20
+
+    def test_paley31(self):
+        assert automorphism_count(paley(31)) == 465
+
+    @pytest.mark.parametrize("length", [13, 20])
+    def test_t_family_rigid(self, length):
+        assert automorphism_count(family("t", length)) == 1

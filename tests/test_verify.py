@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tournkit import core, verify
 from tournkit.core import TournamentError, canonical_form
 from tournkit.tfile import loads
 from tournkit.verify import (
@@ -30,6 +31,25 @@ class TestEnumeration:
     def test_reps_are_distinct(self):
         reps = enumerate_tournaments(6)
         assert len({canonical_form(t) for t in reps}) == len(reps)
+
+    def test_census_leaves_canonical_cache_alone(self, monkeypatch):
+        # every child of the census is a distinct rows tuple, so caching
+        # their codes would only hold memory
+        monkeypatch.setattr(verify, "_REPS", {})
+        before = len(core._CANON_CACHE)
+        reps = enumerate_tournaments(6)
+        assert len(reps) == 56
+        assert len(core._CANON_CACHE) == before
+        # canonical_form itself still caches: a repeated call is not recomputed
+        t = reps[-1]
+        code = canonical_form(t)
+        assert core._CANON_CACHE[t.rows] == code.bits
+
+        def recompute(rows):
+            raise AssertionError("canonical code recomputed")
+
+        monkeypatch.setattr(core, "_canonical_bits", recompute)
+        assert canonical_form(t) == code
 
     def test_too_large(self):
         with pytest.raises(TournamentError) as e:
@@ -122,9 +142,9 @@ class TestCompactnessSuite:
             for lines in c.get("details", {}).get("avoiders", []):
                 loads("\n".join(lines) + "\n")
 
-    def test_deterministic_across_threads(self):
-        a = check_compactness(2, 6, threads=1).to_json()
-        b = check_compactness(2, 6, threads=3).to_json()
+    def test_deterministic_across_runs(self):
+        a = check_compactness(2, 6).to_json()
+        b = check_compactness(2, 6).to_json()
         assert a == b
 
     def test_bad_params(self):
