@@ -24,15 +24,6 @@ USAGE_EXIT = 2
 FAIL_EXIT = 1
 
 
-def _write_tournament(t: Tournament, path: str | None):
-    text = tfile.dumps(t)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit(payload):
     json.dump(payload, sys.stdout, sort_keys=True, indent=2)
     sys.stdout.write("\n")
@@ -57,7 +48,10 @@ def _cmd_gen(args) -> int:
         if args.h is None:
             raise TournamentError("USAGE", "--st needs --h H")
         t = schmerl_trotter(args.st, args.h)
-    _write_tournament(t, args.output)
+    if args.output:
+        tfile.dump_path(t, args.output)
+    else:
+        sys.stdout.write(tfile.dumps(t))
     return 0
 
 

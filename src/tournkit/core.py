@@ -275,7 +275,7 @@ def _orbit(mask: int, gens) -> int:
 
 
 def _search(rows: tuple[int, ...]):
-    """Lex-min code, the first leaf's labeling and automorphism generators.
+    """Lex-min code, the first and the best leaf's labelings, automorphism generators.
 
     Depth-first placement with an ordered partition of the unplaced vertices
     into bitmask cells, each homogeneous towards every placed vertex; the
@@ -354,7 +354,7 @@ def _search(rows: tuple[int, ...]):
     code = 0
     for d, rowbits in enumerate(best):
         code = (code << (n - 1 - d)) | rowbits
-    return code, first_order, gens
+    return code, first_order, best_order, gens
 
 
 def _canonical_bits(rows: tuple[int, ...]) -> int:
@@ -362,13 +362,16 @@ def _canonical_bits(rows: tuple[int, ...]) -> int:
     return _search(rows)[0]
 
 
+def _cached_bits(rows: tuple[int, ...]) -> int:
+    """``_canonical_bits`` through ``_CANON_CACHE``, keyed by the rows tuple."""
+    if rows not in _CANON_CACHE:
+        _CANON_CACHE[rows] = _canonical_bits(rows)
+    return _CANON_CACHE[rows]
+
+
 def canonical_form(t: Tournament) -> CanonicalCode:
     """Canonical code; equal codes characterise isomorphic tournaments."""
-    cached = _CANON_CACHE.get(t.rows)
-    if cached is None:
-        cached = _canonical_bits(t.rows)
-        _CANON_CACHE[t.rows] = cached
-    return CanonicalCode(t.n, cached)
+    return CanonicalCode(t.n, _cached_bits(t.rows))
 
 
 def tournament_from_code(code: CanonicalCode) -> Tournament:
@@ -456,7 +459,7 @@ def automorphism_count(t: Tournament) -> int:
     """Number of automorphisms by orbit-stabiliser: the product, along the
     canonical search's first leaf, of each placed vertex's orbit size under
     the generators fixing the vertices placed before it."""
-    _, base, gens = _search(t.rows)
+    _, base, _, gens = _search(t.rows)
     count, placed = 1, 0
     for v in base:
         count *= _orbit(1 << v, [g for g, moved in gens if not moved & placed]).bit_count()

@@ -162,19 +162,21 @@ def _classes(masks) -> tuple[tuple[int, ...], ...]:
 def acyclic_components(t: Tournament) -> Decomposition:
     """Partition into maximal acyclic autonomous blocks with the quotient.
 
-    x and y share a block iff their closure, the smallest autonomous set
-    holding both, is acyclic.  Blocks are ordered by least vertex; the
-    quotient takes one vertex per block.  The result is checked (relation
-    transitive, blocks acyclic and autonomous, quotient free of non-trivial
-    acyclic autonomous sets) and INTERNAL_INCONSISTENCY signals a bug, never
-    an expected outcome.
+    x and y share a block iff their closure, the smallest autonomous set holding
+    both, is acyclic; such a closure joins all its members at once.  Blocks are
+    ordered by least vertex; the quotient takes one vertex per block.  The
+    result is checked (relation transitive, blocks acyclic and autonomous,
+    quotient free of non-trivial acyclic autonomous sets) and
+    INTERNAL_INCONSISTENCY signals a bug, never an expected outcome.
     """
     n = t.n
     together = [1 << v for v in range(n)]
-    for x, y in itertools.combinations(range(n), 2):
-        if _together(t, x, y):
-            together[x] |= 1 << y
-            together[y] |= 1 << x
+    for x in range(n):
+        for y in range(n - 1, x, -1):  # far pairs first: one acyclic closure joins a whole block
+            closure = 0 if together[x] >> y & 1 else _closure(t, x, y)
+            if closure and _is_acyclic_mask(t, closure):
+                for v in _bits(closure):
+                    together[v] |= closure
     blocks = _classes(together)
     for b in blocks:
         if any(together[v] != together[b[0]] for v in b):

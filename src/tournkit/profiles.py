@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
 from .core import (
     Tournament,
     TournamentError,
+    _cached_bits,
     canonical_form,
     chain,
     lex_sum,
@@ -47,12 +47,35 @@ class SumSpec:
                 raise TournamentError("OUT_OF_RANGE", "caps must be non-negative or UNBOUNDED")
 
 
-def _subset_codes(t: Tournament, n: int, budget: int) -> set[int]:
-    if comb(t.n, n) > budget:
-        raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{n}) subsets exceed budget {budget}")
-    codes = set()
-    for subset in itertools.combinations(range(t.n), n):
-        codes.add(canonical_form(restrict(t, subset)).bits)
+def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> list[set[int]]:
+    """Codes of the induced subtournaments with lo..hi vertices, by size.
+
+    One depth-first pass over the subsets, each grown in increasing vertex
+    order: a child's rows (those of ``restrict``, the keys of
+    ``_CANON_CACHE``) extend its parent's by one vertex in O(k) work.
+    Prefixes that cannot reach lo vertices are cut, so one size n visits at
+    most (n+1)·C(N,n) of them."""
+    for k in range(lo, hi + 1):
+        if comb(t.n, k) > budget:
+            raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{k}) subsets exceed budget {budget}")
+    rows, codes = t.rows, [set() for _ in range(hi + 1)]
+    stack = [((), (), 0)]  # (rows, members, least next vertex) of each prefix
+    while stack:
+        sub, members, start = stack.pop()
+        k = len(members)
+        if lo <= k <= hi:
+            codes[k].add(_cached_bits(sub))
+        bit = 1 << k
+        for u in range(start, min(t.n, t.n + k + 1 - lo) if k < hi else 0):
+            ru, ext, row = rows[u], [], 0
+            for i, (r, v) in enumerate(zip(sub, members)):
+                if ru >> v & 1:
+                    row |= 1 << i
+                    ext.append(r)
+                else:
+                    ext.append(r | bit)
+            ext.append(row)
+            stack.append((tuple(ext), members + (u,), u + 1))
     return codes
 
 
@@ -60,13 +83,12 @@ def profile_count(t: Tournament, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of isomorphism types among the n-vertex induced subtournaments."""
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
-    if n > t.n:
-        return 0
-    return len(_subset_codes(t, n, budget))
+    return len(_subset_codes(t, n, n, budget)[n]) if n <= t.n else 0
 
 
 def profile_sequence(t: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
-    return ProfileSeries(tuple(profile_count(t, n, budget) for n in range(n_max + 1)))
+    counts = tuple(len(codes) for codes in _subset_codes(t, 0, min(n_max, t.n), budget))
+    return ProfileSeries(counts + (0,) * (n_max - t.n))
 
 
 def sum_profile(spec: SumSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -137,12 +159,14 @@ def series_fit(series, k: int) -> list[int] | None:
 
 def age_leq(a: Tournament, b: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Every induced type of a up to size n_max also occurs in b."""
-    for n in range(min(n_max, a.n) + 1):
-        if n > b.n:
-            return False
-        if not _subset_codes(a, n, budget) <= _subset_codes(b, n, budget):
-            return False
-    return True
+    top = min(n_max, a.n)
+    # the first size that b lacks or the budget forbids decides if all below agree
+    stop = next((n for n in range(top + 1) if n > b.n or max(comb(a.n, n), comb(b.n, n)) > budget), top + 1)
+    if any(not x <= y for x, y in zip(_subset_codes(a, 0, stop - 1, budget), _subset_codes(b, 0, stop - 1, budget))):
+        return False
+    if stop <= min(top, b.n):  # over the budget: raise its error, a's first
+        _subset_codes(a if comb(a.n, stop) > budget else b, stop, stop, budget)
+    return stop > top
 
 
 def growth_of_sum(spec: SumSpec) -> dict:
@@ -177,7 +201,7 @@ def stabilized_profile(build, n_max: int, start: int = 2, limit: int | None = No
         t = build(size)
         if t.n < n_max:
             continue
-        vals = [profile_count(t, i, budget) for i in range(n_max + 1)]
+        vals = [len(codes) for codes in _subset_codes(t, 0, n_max, budget)]
         if prev is not None and vals == prev:
             return vals, (prev_n, size)
         prev, prev_n = vals, size

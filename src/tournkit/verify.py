@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 
 from . import tfile
@@ -14,7 +15,8 @@ from .core import (
     DESCENDING,
     Tournament,
     TournamentError,
-    _canonical_bits,
+    _orbit,
+    _search,
     canonical_form,
     dual,
     embeds,
@@ -24,6 +26,7 @@ from .core import (
     tournament_from_code,
 )
 from .decomp import (
+    _bits,
     acyclic_components,
     is_acyclically_indecomposable,
     is_autonomous,
@@ -99,11 +102,13 @@ _REPS: dict[int, list[Tournament]] = {}
 def enumerate_tournaments(n: int) -> list[Tournament]:
     """Canonical representatives of all tournaments on n vertices, sorted by code.
 
-    Grown by extending the (n-1)-vertex representatives with every possible
-    new vertex and deduplicating canonically; every n-class restricts to some
-    (n-1)-class, so the extension sweep is exhaustive.  The children are
-    canonized without ``canonical_form``: each rows tuple occurs once, so
-    caching their codes would only hold memory.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    1998) of the (n-1)-vertex representatives P: a new vertex w with
+    out-neighbours ``mask`` is kept only if (1) ``mask`` is least in its orbit
+    under Aut(P), (2) w maximises the vertex invariant (score, number of
+    3-cycles through the vertex) and (3) w lies in the Aut(child) orbit of the
+    maximising vertex placed first by the child's canonical labeling.  Each
+    class then comes out once, with no dedupe set and no ``_CANON_CACHE`` use.
     """
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
@@ -114,18 +119,40 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
     if n <= 1:
         reps = [Tournament(n, [0] * n, validate=False)]
     else:
-        seen = set()
-        for parent in enumerate_tournaments(n - 1):
-            for mask in range(1 << (n - 1)):
-                rows = list(parent.rows)
-                for j in range(n - 1):
-                    if not (mask >> j) & 1:
-                        rows[j] |= 1 << (n - 1)
-                rows.append(mask)
-                seen.add(_canonical_bits(tuple(rows)))
-        reps = [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(seen)]
+        # codes have n(n-1)/2 <= 36 bits; an array holds them in 8 bytes each
+        codes = array("Q", (code for parent in enumerate_tournaments(n - 1) for code in _augmentations(parent)))
+        reps = [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(codes)]
     _REPS[n] = reps
     return list(reps)
+
+
+def _augmentations(parent: Tournament):
+    """Codes of the children of parent kept by canonical augmentation."""
+    rows, m, cols = parent.rows, parent.n, parent._transpose()
+    gens = [g for g, _ in _search(rows)[3]]
+    group = [tuple(range(m))]  # Aut(parent), the identity first
+    for p in group:
+        group += [q for q in {tuple(g[v] for v in p) for g in gens} if q not in group]
+    cycles = [sum((rows[a] & cols[j]).bit_count() for a in _bits(rows[j])) for j in range(m)]
+    # at_least[s]: the parent vertices scoring s or more; at_least[-1] is 0
+    at_least = [sum(1 << j for j in range(m) if rows[j].bit_count() >= s) for s in range(m + 2)]
+    for mask in range(1 << m):
+        beaters, score = ((1 << m) - 1) ^ mask, mask.bit_count()
+        # w's losers keep their score and its beaters gain one: none may outscore
+        # w, and no automorphism of the parent may map mask below itself
+        if mask & at_least[score + 1] or beaters & at_least[score] or any(
+                sum(1 << p[v] for v in _bits(mask)) < mask for p in group[1:]):
+            continue
+        rival_cycles = {j: cycles[j] + (cols[j] & mask if beaters >> j & 1 else rows[j] & beaters).bit_count()
+                        for j in _bits((mask & at_least[score]) | (beaters & at_least[score - 1]))}
+        w_cycles = sum((rows[a] & beaters).bit_count() for a in _bits(mask))
+        if any(c > w_cycles for c in rival_cycles.values()):
+            continue
+        child = tuple(r | 1 << m if beaters >> j & 1 else r for j, r in enumerate(rows)) + (mask,)
+        code, _, order, child_gens = _search(child)
+        first = next(v for v in order if v == m or rival_cycles.get(v) == w_cycles)
+        if first == m or _orbit(1 << first, [g for g, _ in child_gens]) >> m & 1:
+            yield code
 
 
 def _random_tournament(rng: random.Random, n: int) -> Tournament:

@@ -13,6 +13,7 @@ from tournkit.core import (
     relabel,
     restrict,
 )
+from tournkit import decomp
 from tournkit.decomp import (
     DIAMOND,
     DOUBLE_DIAMOND,
@@ -254,6 +255,28 @@ class TestClosure:
 
     def test_long_chain_single_block(self):
         assert acyclic_components(chain(160)).blocks == (tuple(range(160)),)
+
+    def test_long_chain_one_closure(self, monkeypatch):
+        # the farthest pair's closure is the whole chain and joins every pair
+        calls = []
+
+        def counting(t, x, y):
+            calls.append((x, y))
+            return _closure(t, x, y)
+
+        monkeypatch.setattr(decomp, "_closure", counting)
+        assert acyclic_components(chain(160)).blocks == (tuple(range(160)),)
+        assert calls == [(0, 159)]
+
+    def test_blocks_are_classes_of_together(self):
+        # pairs skipped as already joined must agree with their own closure
+        cases = [t for n in range(1, 8) for t in enumerate_tournaments(n)]
+        cases += [family(kind, length) for kind in KINDS for length in (3, 6)]
+        cases.append(lex_sum(cycle3(), [chain(12)] * 3))
+        for t in cases:
+            block_of = {v: b for b in acyclic_components(t).blocks for v in b}
+            for x, y in combinations(range(t.n), 2):
+                assert (block_of[x] == block_of[y]) == _together(t, x, y)
 
 
 class TestMonomorphic:

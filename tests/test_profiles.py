@@ -1,7 +1,11 @@
+import itertools
+from math import comb
+
 import pytest
 
-from tournkit.core import TournamentError, chain, cycle3, lex_sum, make_tournament, relabel
-from tournkit.families import family
+from tournkit import profiles
+from tournkit.core import TournamentError, canonical_form, chain, cycle3, lex_sum, make_tournament, relabel, restrict
+from tournkit.families import KINDS, family, family_size
 from tournkit.profiles import (
     ProfileSeries,
     SumSpec,
@@ -20,6 +24,33 @@ from conftest import random_tournament
 from test_core import diamond
 
 
+def oracle_subset_codes(t, n, budget):
+    """The restrict-based census that prefix extension replaced."""
+    if comb(t.n, n) > budget:
+        raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{n}) subsets exceed budget {budget}")
+    codes = set()
+    for subset in itertools.combinations(range(t.n), n):
+        codes.add(canonical_form(restrict(t, subset)).bits)
+    return codes
+
+
+def oracle_age_leq(a, b, n_max, budget):
+    """``age_leq`` as it was: one census per size, in ascending order."""
+    for n in range(min(n_max, a.n) + 1):
+        if n > b.n:
+            return False
+        if not oracle_subset_codes(a, n, budget) <= oracle_subset_codes(b, n, budget):
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TournamentError as exc:
+        return str(exc)
+
+
 class TestProfileCount:
     def test_chain_always_one(self):
         c = chain(9)
@@ -36,6 +67,45 @@ class TestProfileCount:
         with pytest.raises(TournamentError) as e:
             profile_count(chain(30), 15, budget=1000)
         assert e.value.code == "BUDGET_EXCEEDED"
+
+    def test_larger_than_host_is_zero(self):
+        assert profile_count(chain(3), 10**9) == 0
+        assert profile_sequence(chain(3), 6).values == (1, 1, 1, 1, 0, 0, 0)
+
+    def test_prefix_census_matches_restrict(self, rng):
+        cases = [random_tournament(rng, n) for n in range(13) for _ in range(2)]
+        for kind in KINDS:
+            length = 1
+            while family_size(kind, length) <= 13:
+                cases.append(family(kind, length))
+                length += 1
+        for t in cases:
+            every_size = profiles._subset_codes(t, 0, t.n, 10**6)
+            for n in range(t.n + 1):
+                want = oracle_subset_codes(t, n, 10**6)
+                assert every_size[n] == want
+                assert profiles._subset_codes(t, n, n, 10**6)[n] == want
+
+    def test_single_size_prunes_prefixes(self, monkeypatch):
+        # without pruning the pass would walk all 2^30 prefixes of chain(30);
+        # only the C(30,28) complete subsets reach a canonical lookup
+        lookups = []
+        monkeypatch.setattr(profiles, "_cached_bits", lambda rows: lookups.append(rows) or 0)
+        assert profile_count(chain(30), 28) == 1
+        assert len(lookups) == comb(30, 28)
+        assert set(lookups) == {chain(28).rows}
+
+    def test_budget_errors_match_per_size_census(self):
+        # a size over the budget raises only once every smaller size agreed
+        c3, long_chain = family("c3", 4), chain(20)
+        pairs = ((c3, long_chain), (chain(3), long_chain), (long_chain, c3), (long_chain, chain(3)), (c3, c3))
+        for budget in (300, 2000, 10**4):
+            for n_max in (2, 4, 6):
+                for a, b in pairs:
+                    assert outcome(age_leq, a, b, n_max, budget) == outcome(oracle_age_leq, a, b, n_max, budget)
+                for t in (c3, long_chain):
+                    want = outcome(lambda: tuple(len(oracle_subset_codes(t, n, budget)) for n in range(n_max + 1)))
+                    assert outcome(lambda: profile_sequence(t, n_max, budget).values) == want
 
 
 class TestProfileSequence:

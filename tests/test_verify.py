@@ -1,9 +1,10 @@
+import functools
 import json
 
 import pytest
 
 from tournkit import core, verify
-from tournkit.core import TournamentError, canonical_form
+from tournkit.core import CanonicalCode, Tournament, TournamentError, canonical_form, tournament_from_code
 from tournkit.tfile import loads
 from tournkit.verify import (
     check_compactness,
@@ -17,10 +18,34 @@ from tournkit.verify import (
 from conftest import all_labeled_tournaments
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_census(n):
+    """The extend-and-dedupe census that canonical augmentation replaced: every
+    parent extended by every mask, deduplicated through a set of codes."""
+    if n <= 1:
+        return [Tournament(n, [0] * n, validate=False)]
+    seen = set()
+    for parent in oracle_census(n - 1):
+        for mask in range(1 << (n - 1)):
+            rows = list(parent.rows)
+            for j in range(n - 1):
+                if not (mask >> j) & 1:
+                    rows[j] |= 1 << (n - 1)
+            rows.append(mask)
+            seen.add(core._canonical_bits(tuple(rows)))
+    return [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(seen)]
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56), (7, 456)])
+    @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56), (7, 456), (8, 6880)])
     def test_census(self, n, count):
         assert len(enumerate_tournaments(n)) == count
+
+    def test_matches_dedupe_census(self):
+        # the census keeps no dedupe set, so equal lists also show that no
+        # class is produced twice
+        for n in range(8):
+            assert [t.rows for t in enumerate_tournaments(n)] == [t.rows for t in oracle_census(n)]
 
     def test_matches_labeled_bruteforce(self):
         for n in range(1, 7):
