@@ -147,8 +147,10 @@ def cycle3() -> Tournament:
 
 
 def dual(t: Tournament) -> Tournament:
-    """Reverse every edge."""
-    return Tournament(t.n, t._transpose(), validate=False)
+    """Reverse every edge: the dual's rows are t's columns and its columns t's rows."""
+    d = Tournament(t.n, t._cols or t._transpose(), validate=False)
+    d._cols = t.rows
+    return d
 
 
 def restrict(t: Tournament, vertices) -> Tournament:
@@ -272,6 +274,15 @@ def _orbit(mask: int, gens) -> int:
                 mask |= image
                 todo |= image
     return mask
+
+
+def _group(gens, n: int) -> list[tuple[int, ...]]:
+    """Every element of the permutation group on 0..n-1 generated by gens, the
+    identity first; each element is the tuple of vertex images."""
+    group = [tuple(range(n))]
+    for p in group:
+        group += [q for q in {tuple(g[v] for v in p) for g in gens} if q not in group]
+    return group
 
 
 def _search(rows: tuple[int, ...]):

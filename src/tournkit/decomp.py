@@ -144,15 +144,6 @@ def _is_acyclic_mask(t: Tournament, mask: int) -> bool:
     return True
 
 
-def _together(t: Tournament, x: int, y: int) -> bool:
-    """x and y share an acyclic autonomous set, i.e. their closure is acyclic.
-
-    Every subset of an acyclic set is acyclic, and every autonomous set
-    holding x and y contains their closure.
-    """
-    return _is_acyclic_mask(t, _closure(t, x, y))
-
-
 def _classes(masks) -> tuple[tuple[int, ...], ...]:
     """Classes of a partition given as each vertex's class bitmask, ordered
     by least vertex."""
@@ -198,9 +189,10 @@ def spectrum(t: Tournament) -> tuple[int, ...]:
 
 
 def is_acyclically_indecomposable(t: Tournament) -> bool:
-    """No acyclic autonomous set has more than one element: no pair of
-    vertices has an acyclic closure."""
-    return not any(_together(t, x, y) for x, y in itertools.combinations(range(t.n), 2))
+    """No acyclic autonomous set has more than one element: no pair is
+    autonomous, since two consecutive vertices of such a set form one."""
+    rows = t.rows
+    return not any((rows[x] ^ rows[y]) & ~(1 << x | 1 << y) == 0 for x, y in itertools.combinations(range(t.n), 2))
 
 
 def is_indecomposable(t: Tournament) -> bool:

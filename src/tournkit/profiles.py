@@ -5,15 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import (
-    Tournament,
-    TournamentError,
-    _cached_bits,
-    canonical_form,
-    chain,
-    lex_sum,
-    restrict,
-)
+from .core import Tournament, TournamentError, _cached_bits, _group, _search, restrict
 from .decomp import acyclic_components
 
 UNBOUNDED = None
@@ -94,39 +86,70 @@ def profile_sequence(t: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) ->
 def sum_profile(spec: SumSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Profile value of the (possibly unbounded) sum of chains at size n.
 
-    Enumerates the vectors of per-index chain contributions summing to n,
-    materialises each as a finite lex sum, and counts distinct types.
+    A vector of per-index chain contributions summing to n gives the lex sum of
+    the index restricted to the support S (the non-zero entries) with those
+    chains.  An acyclic block of index|S carries a chain of its total weight,
+    so the sum is Q[chains] for the acyclic quotient Q of index|S.  Q has no
+    acyclic autonomous pair, so the maximal acyclic autonomous blocks of
+    Q[chains] are exactly its chains: an acyclic autonomous set meeting two
+    chains would project to one on at least 2 vertices of Q.  So two sums are
+    isomorphic iff their quotients are, with matching block weights.  Each
+    vector is keyed by |Q|, the canonical code of Q and the least reading of
+    the block weights in canonical order over Aut(Q), once per support; no
+    n-vertex tournament is built.
     """
-    if spec.index.n > 8:
-        raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}")
-    if n < 0:
-        raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
-    codes = set()
-    seen = 0
-    for vec in _bounded_vectors(spec.caps, n):
-        seen += 1
-        if seen > budget:
-            raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors")
-        support = [i for i, m in enumerate(vec) if m]
-        t = lex_sum(restrict(spec.index, support), [chain(vec[i]) for i in support])
-        codes.add(canonical_form(t).bits)
-    return len(codes)
+    return _sum_profiles(spec, (n,), budget)[0]
+
+
+def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
+    """``sum_profile`` at each of sizes, sharing one weighted quotient per support."""
+    quotients = {}  # support -> (blocks, (|Q|, code of Q), canonical block orders under Aut(Q))
+    counts = []
+    for n in sizes:
+        if spec.index.n > 8:
+            raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}")
+        if n < 0:
+            raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
+        keys = set()
+        for seen, vec in enumerate(_bounded_vectors(spec.caps, n), 1):
+            if seen > budget:
+                raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors")
+            support = tuple(i for i, m in enumerate(vec) if m)
+            if support not in quotients:
+                blocks, q = _acyclic_blocks(spec.index, support)
+                code, _, order, gens = _search(q.rows)
+                readings = [tuple(g[v] for v in order) for g in _group([g for g, _ in gens], q.n)]
+                quotients[support] = blocks, (q.n, code), readings
+            blocks, head, readings = quotients[support]
+            weights = [sum(map(vec.__getitem__, b)) for b in blocks]
+            keys.add(head + min(tuple(map(weights.__getitem__, r)) for r in readings))
+        counts.append(len(keys))
+    return tuple(counts)
+
+
+def _acyclic_blocks(index: Tournament, support) -> tuple[tuple[tuple[int, ...], ...], Tournament]:
+    """Acyclic blocks of index|support as index vertices, and their quotient."""
+    d = acyclic_components(restrict(index, support))
+    return tuple(tuple(support[v] for v in b) for b in d.blocks), d.quotient
 
 
 def _bounded_vectors(caps, total):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    head, rest = caps[0], caps[1:]
-    top = total if head is UNBOUNDED else min(head, total)
-    for m in range(top + 1):
-        for tail in _bounded_vectors(rest, total - m):
-            yield (m,) + tail
+    """Vectors of contributions under caps that sum to total, in lex order."""
+    tops = [total if c is UNBOUNDED else min(c, total) for c in caps]
+    room = [sum(tops[i:]) for i in range(len(tops) + 1)]  # most that entries i.. hold
+    stack = [((), total)] if room[0] >= total else []
+    while stack:
+        head, left = stack.pop()
+        i = len(head)
+        if i == len(tops):
+            yield head
+            continue
+        for m in range(min(tops[i], left), max(0, left - room[i + 1]) - 1, -1):
+            stack.append((head + (m,), left - m))
 
 
 def sum_profile_sequence(spec: SumSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
-    return ProfileSeries(tuple(sum_profile(spec, n, budget) for n in range(n_max + 1)))
+    return ProfileSeries(_sum_profiles(spec, range(n_max + 1), budget))
 
 
 def series_fit(series, k: int) -> list[int] | None:
@@ -177,12 +200,9 @@ def growth_of_sum(spec: SumSpec) -> dict:
     k the components holding at least one unbounded cap.  The profile grows
     like n**(k-1).
     """
-    live = [i for i, c in enumerate(spec.caps) if c is UNBOUNDED or c > 0]
-    reduced = restrict(spec.index, live)
-    comp = acyclic_components(reduced).blocks
-    p = len(comp)
-    k = sum(1 for b in comp if any(spec.caps[live[v]] is UNBOUNDED for v in b))
-    return {"p": p, "k": k, "degree": k - 1}
+    blocks = _acyclic_blocks(spec.index, [i for i, c in enumerate(spec.caps) if c is UNBOUNDED or c > 0])[0]
+    k = sum(1 for b in blocks if any(spec.caps[v] is UNBOUNDED for v in b))
+    return {"p": len(blocks), "k": k, "degree": k - 1}
 
 
 def stabilized_profile(build, n_max: int, start: int = 2, limit: int | None = None,

@@ -15,6 +15,7 @@ from .core import (
     DESCENDING,
     Tournament,
     TournamentError,
+    _group,
     _orbit,
     _search,
     canonical_form,
@@ -129,10 +130,7 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
 def _augmentations(parent: Tournament):
     """Codes of the children of parent kept by canonical augmentation."""
     rows, m, cols = parent.rows, parent.n, parent._transpose()
-    gens = [g for g, _ in _search(rows)[3]]
-    group = [tuple(range(m))]  # Aut(parent), the identity first
-    for p in group:
-        group += [q for q in {tuple(g[v] for v in p) for g in gens} if q not in group]
+    group = _group([g for g, _ in _search(rows)[3]], m)  # Aut(parent), the identity first
     cycles = [sum((rows[a] & cols[j]).bit_count() for a in _bits(rows[j])) for j in range(m)]
     # at_least[s]: the parent vertices scoring s or more; at_least[-1] is 0
     at_least = [sum(1 << j for j in range(m) if rows[j].bit_count() >= s) for s in range(m + 2)]

@@ -134,27 +134,28 @@ def test_09_duality():
     announce(9, "duality clauses for chain lengths 2..5, K self-dual, U mutual")
 
 
+_DIAMOND_DOM = make_tournament(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
+_DIAMOND_SUB = make_tournament(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+_STRONG4 = make_tournament(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (3, 2)])
+SUM_SPECS = (
+    SumSpec(cycle3(), (UNBOUNDED,) * 3),
+    SumSpec(cycle3(), (UNBOUNDED, UNBOUNDED, 1)),
+    SumSpec(cycle3(), (1, 2, UNBOUNDED)),
+    SumSpec(cycle3(), (2, 2, 2)),
+    SumSpec(cycle3(), (3, 1, 2)),
+    SumSpec(chain(4), (UNBOUNDED, 2, UNBOUNDED, 1)),
+    SumSpec(_DIAMOND_DOM, (UNBOUNDED, 1, 1, UNBOUNDED)),
+    SumSpec(_DIAMOND_SUB, (2, UNBOUNDED, UNBOUNDED, UNBOUNDED)),
+    SumSpec(_DIAMOND_SUB, (2, 1, 1, 1)),
+    SumSpec(_STRONG4, (UNBOUNDED, 1, UNBOUNDED, 1)),
+    SumSpec(_STRONG4, (1, 1, 1, 1)),
+    SumSpec(schmerl_trotter("t", 2), (UNBOUNDED, 1, 1, UNBOUNDED, 0)),
+)
+
+
 def test_10_sum_profile_laws():
-    diamond_dom = make_tournament(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
-    diamond_sub = make_tournament(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-    strong4 = make_tournament(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (3, 2)])
-    t5 = schmerl_trotter("t", 2)
-    specs = [
-        SumSpec(cycle3(), (UNBOUNDED,) * 3),
-        SumSpec(cycle3(), (UNBOUNDED, UNBOUNDED, 1)),
-        SumSpec(cycle3(), (1, 2, UNBOUNDED)),
-        SumSpec(cycle3(), (2, 2, 2)),
-        SumSpec(cycle3(), (3, 1, 2)),
-        SumSpec(chain(4), (UNBOUNDED, 2, UNBOUNDED, 1)),
-        SumSpec(diamond_dom, (UNBOUNDED, 1, 1, UNBOUNDED)),
-        SumSpec(diamond_sub, (2, UNBOUNDED, UNBOUNDED, UNBOUNDED)),
-        SumSpec(diamond_sub, (2, 1, 1, 1)),
-        SumSpec(strong4, (UNBOUNDED, 1, UNBOUNDED, 1)),
-        SumSpec(strong4, (1, 1, 1, 1)),
-        SumSpec(t5, (UNBOUNDED, 1, 1, UNBOUNDED, 0)),
-    ]
-    assert len(specs) >= 10
-    for spec in specs:
+    assert len(SUM_SPECS) >= 10
+    for spec in SUM_SPECS:
         g = growth_of_sum(spec)
         finite = all(c is not UNBOUNDED for c in spec.caps)
         if finite:

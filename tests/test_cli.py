@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -172,6 +176,14 @@ class TestQueries:
         code, out, _ = run(capsys, "enumerate", "--n", "5")
         assert code == 0
         assert json.loads(out)["count"] == 12
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "tournkit", "enumerate", "--n", "3"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["count"] == 2
 
     def test_enumerate_filtered(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--filter", "acyclically-indecomposable")

@@ -105,6 +105,17 @@ class TestDualRestrict:
             t = random_tournament(rng, rng.randint(1, 9))
             assert dual(dual(t)) == t
 
+    def test_dual_reverses_edges_and_shares_columns(self, rng):
+        for n in range(9):
+            for cached in (False, True):
+                t = random_tournament(rng, n)
+                if cached and n:
+                    t.in_mask(0)  # caches the columns
+                d = dual(t)
+                assert all(d.edge(j, i) == t.edge(i, j) for i in range(n) for j in range(n) if i != j)
+                assert all(d.in_mask(i) == t.rows[i] for i in range(n))
+                assert d == Tournament(n, d.rows)  # validates it as a tournament
+
     def test_dual_cycle3(self):
         assert is_isomorphic(dual(cycle3()), cycle3())
 

@@ -19,7 +19,7 @@ from tournkit.decomp import (
     DOUBLE_DIAMOND,
     THREE_CYCLE,
     _closure,
-    _together,
+    _is_acyclic_mask,
     acyclic_components,
     is_acyclically_indecomposable,
     is_autonomous,
@@ -35,6 +35,18 @@ from tournkit.verify import enumerate_tournaments
 
 from conftest import all_labeled_tournaments, random_tournament
 from test_core import diamond
+
+
+def _together(t, x, y):
+    """x and y share an acyclic autonomous set, i.e. their closure is acyclic:
+    every subset of an acyclic set is acyclic, and every autonomous set
+    holding x and y contains their closure."""
+    return _is_acyclic_mask(t, _closure(t, x, y))
+
+
+def oracle_is_acyclically_indecomposable(t):
+    """The closure test that the autonomous-pair test replaced."""
+    return not any(_together(t, x, y) for x, y in combinations(range(t.n), 2))
 
 
 def brute_acyclic_autonomous_sets(t):
@@ -209,6 +221,17 @@ class TestIndecomposability:
 
     def test_singleton(self):
         assert is_acyclically_indecomposable(chain(1))
+
+    def test_pair_test_matches_closure_oracle(self, rng):
+        cases = [t for n in range(8) for t in enumerate_tournaments(n)]
+        cases += [t for n in range(6) for t in all_labeled_tournaments(n)]
+        for t in cases[:]:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            cases.append(relabel(t, perm))
+        cases += [lex_sum(cycle3(), [chain(12)] * 3), family("v", 19)]
+        for t in cases:
+            assert is_acyclically_indecomposable(t) == oracle_is_acyclically_indecomposable(t)
 
     def test_indecomposable_brute(self, rng):
         for _ in range(40):

@@ -2,10 +2,11 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tournkit import profiles
+from tournkit import core, profiles
 from tournkit.core import TournamentError, canonical_form, chain, cycle3, lex_sum, make_tournament, relabel, restrict
-from tournkit.families import KINDS, family, family_size
+from tournkit.families import KINDS, family, family_size, witness
 from tournkit.profiles import (
     ProfileSeries,
     SumSpec,
@@ -21,6 +22,7 @@ from tournkit.profiles import (
 )
 
 from conftest import random_tournament
+from test_acceptance import SUM_SPECS
 from test_core import diamond
 
 
@@ -42,6 +44,37 @@ def oracle_age_leq(a, b, n_max, budget):
         if not oracle_subset_codes(a, n, budget) <= oracle_subset_codes(b, n, budget):
             return False
     return True
+
+
+def oracle_bounded_vectors(caps, total):
+    """The recursive contribution-vector generator that the iterative one replaced."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    head, rest = caps[0], caps[1:]
+    top = total if head is UNBOUNDED else min(head, total)
+    for m in range(top + 1):
+        for tail in oracle_bounded_vectors(rest, total - m):
+            yield (m,) + tail
+
+
+def oracle_sum_profile(spec, n, budget=profiles.DEFAULT_BUDGET):
+    """``sum_profile`` as it was: one canonized lex sum per contribution vector."""
+    if spec.index.n > 8:
+        raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}")
+    if n < 0:
+        raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
+    codes = set()
+    seen = 0
+    for vec in oracle_bounded_vectors(spec.caps, n):
+        seen += 1
+        if seen > budget:
+            raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors")
+        support = [i for i, m in enumerate(vec) if m]
+        t = lex_sum(restrict(spec.index, support), [chain(vec[i]) for i in support])
+        codes.add(canonical_form(t).bits)
+    return len(codes)
 
 
 def outcome(fn, *args):
@@ -188,6 +221,64 @@ class TestSumProfile:
         spec = SumSpec(chain(4), (UNBOUNDED, 2, UNBOUNDED, 1))
         for n in (0, 3, 9):
             assert sum_profile(spec, n) == 1
+
+    def test_matches_oracle_on_named_specs(self):
+        t5 = witness("T5")
+        specs = [
+            SumSpec(cycle3(), (UNBOUNDED,) * 3),
+            SumSpec(t5, (UNBOUNDED,) * 5),
+            SumSpec(t5, (UNBOUNDED, 2, UNBOUNDED, 1, 3)),
+            SumSpec(witness("tau2"), (UNBOUNDED,) * 5),
+            SumSpec(lex_sum(chain(2), [cycle3(), chain(1)]), (UNBOUNDED,) * 4),
+        ]
+        for spec in specs:
+            want = tuple(oracle_sum_profile(spec, n) for n in range(11))
+            assert sum_profile_sequence(spec, 10).values == want
+            assert tuple(sum_profile(spec, n) for n in range(11)) == want
+
+    def test_matches_oracle_on_acceptance_specs(self):
+        for spec in SUM_SPECS:
+            if all(c is not UNBOUNDED for c in spec.caps):
+                n_max = max(sum(spec.caps) + 1, 14)
+            else:
+                n_max = 18 if growth_of_sum(spec)["k"] >= 3 else 14
+            want = tuple(oracle_sum_profile(spec, n) for n in range(n_max + 1))
+            assert sum_profile_sequence(spec, n_max).values == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.lists(st.booleans(), min_size=k * (k - 1) // 2, max_size=k * (k - 1) // 2),
+        st.lists(st.sampled_from((0, 1, 2, 3, UNBOUNDED)), min_size=k, max_size=k))),
+        st.integers(0, 9))
+    def test_matches_oracle_random(self, drawn, n):
+        flips, caps = drawn
+        pairs = itertools.combinations(range(len(caps)), 2)
+        index = make_tournament(len(caps), [(a, b) if f else (b, a) for f, (a, b) in zip(flips, pairs)])
+        spec = SumSpec(index, tuple(caps))
+        assert sum_profile(spec, n) == oracle_sum_profile(spec, n)
+
+    def test_vectors_match_recursive_oracle(self):
+        for caps in [(), (0,), (UNBOUNDED,), (2, UNBOUNDED, 0, 1), (1, 1, 1), (UNBOUNDED,) * 4, (3, 0, UNBOUNDED)]:
+            for total in range(8):
+                assert list(profiles._bounded_vectors(caps, total)) == list(oracle_bounded_vectors(caps, total))
+
+    def test_t5_unbounded_at_30(self):
+        # 46,376 contribution vectors: too many to canonize a 30-vertex lex sum for each
+        assert sum_profile(SumSpec(witness("T5"), (UNBOUNDED,) * 5), 30) == 4888
+
+    def test_budget_counts_vectors(self):
+        spec = SumSpec(witness("T5"), (UNBOUNDED,) * 5)
+        with pytest.raises(TournamentError) as e:
+            sum_profile(spec, 30, budget=1000)
+        assert e.value.code == "BUDGET_EXCEEDED"
+        assert str(e.value) == "BUDGET_EXCEEDED: more than 1000 contribution vectors"
+        for n, budget in [(6, 209), (6, 210), (7, 329), (7, 330)]:
+            assert outcome(sum_profile, spec, n, budget) == outcome(oracle_sum_profile, spec, n, budget)
+
+    def test_no_large_canonical_cache_entries(self):
+        before = set(core._CANON_CACHE)
+        sum_profile_sequence(SumSpec(witness("T5"), (UNBOUNDED,) * 5), 12)
+        assert all(len(rows) <= 5 for rows in set(core._CANON_CACHE) - before)
 
 
 class TestSeriesFit:
