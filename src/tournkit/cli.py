@@ -8,7 +8,7 @@ import sys
 
 from . import tfile
 from .core import ChainSpec, Tournament, TournamentError, canonical_form, embeds, find_embedding
-from .decomp import _monomorphic_classes, acyclic_components, is_acyclically_indecomposable, is_indecomposable
+from .decomp import _is_prime, _monomorphic_classes, acyclic_components, is_acyclically_indecomposable
 from .families import KINDS, WITNESS_NAMES, checked_family, family, schmerl_trotter, witness
 from .profiles import SumSpec, UNBOUNDED, growth_of_sum, series_fit, sum_profile_sequence, profile_sequence
 from .verify import (
@@ -64,11 +64,12 @@ def _cmd_decompose(args) -> int:
             "blocks": [list(b) for b in d.blocks],
             "spectrum": list(d.spectrum),
             "quotient": {"n": d.quotient.n, "matrix": _matrix(d.quotient)},
-            # the blocks are the classes of "closure is acyclic", so this is
-            # is_acyclically_indecomposable(t) without a second decomposition
+            # the blocks are the maximal acyclic autonomous sets, so this is
+            # is_acyclically_indecomposable(t) without a second scan
             "acyclically_indecomposable": all(len(b) == 1 for b in d.blocks),
-            "indecomposable": is_indecomposable(t),
-            "monomorphic_components": [list(b) for b in _monomorphic_classes(t, d.blocks)],
+            # primality and monomorphic parts come from the same strong-module tree
+            "indecomposable": _is_prime(d.tree, t.n),
+            "monomorphic_components": [list(b) for b in _monomorphic_classes(d)],
         }
     )
     return 0

@@ -6,11 +6,16 @@ from dataclasses import dataclass
 
 
 class TournamentError(ValueError):
-    """Invalid construction or query; ``code`` is a stable machine-readable tag."""
+    """Invalid construction or query; ``code`` is a stable machine-readable tag.
 
-    def __init__(self, code: str, message: str):
+    ``details`` is structured data about the failure; budget and size errors
+    give ``consumed``, ``limit`` and ``where`` (the entry point whose limit
+    was hit)."""
+
+    def __init__(self, code: str, message: str, details: dict | None = None):
         super().__init__(f"{code}: {message}")
         self.code = code
+        self.details = {} if details is None else details
 
 
 class Tournament:

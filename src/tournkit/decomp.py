@@ -1,22 +1,19 @@
-"""Acyclic decomposition: separation witnesses, components, monomorphic parts."""
+"""Acyclic decomposition: separation witnesses, the strong-module tree, and
+the acyclic components, primality and monomorphic parts read from it."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import or_
 
-from .core import (
-    Tournament,
-    TournamentError,
-    canonical_form,
-    is_acyclic,
-    lex_sum,
-    restrict,
-)
+from .core import Tournament, TournamentError, canonical_form, is_acyclic, lex_sum, restrict
 
 THREE_CYCLE = "three_cycle"
 DIAMOND = "diamond"
 DOUBLE_DIAMOND = "double_diamond"
+LINEAR, PRIME = "linear", "prime"  # the kinds of strong-module tree nodes
 
 
 @dataclass(frozen=True)
@@ -32,6 +29,8 @@ class Decomposition:
     blocks: tuple[tuple[int, ...], ...]
     quotient: Tournament
     spectrum: tuple[int, ...]
+    # the strong-module tree the blocks were read from, as ``_strong_tree`` gives it
+    tree: dict = field(compare=False, repr=False)
 
 
 def is_autonomous(t: Tournament, subset) -> bool:
@@ -41,13 +40,7 @@ def is_autonomous(t: Tournament, subset) -> bool:
         if not 0 <= v < t.n:
             raise TournamentError("OUT_OF_RANGE", f"vertex {v} outside 0..{t.n - 1}")
         mask |= 1 << v
-    for y in range(t.n):
-        if (mask >> y) & 1:
-            continue
-        hits = t.rows[y] & mask
-        if hits != 0 and hits != mask:
-            return False
-    return True
+    return all(t.rows[y] & mask in (0, mask) for y in range(t.n) if not mask >> y & 1)
 
 
 def _bits(mask: int):
@@ -60,19 +53,13 @@ def _bits(mask: int):
 
 def _cycle_count(t: Tournament, members) -> int:
     """Number of 3-cycles within members (total triples minus transitive ones)."""
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    k = len(members)
+    mask, k = sum(1 << v for v in members), len(members)
     trans = sum(((t.rows[v] & mask).bit_count() * ((t.rows[v] & mask).bit_count() - 1)) // 2 for v in members)
     return k * (k - 1) * (k - 2) // 6 - trans
 
 
 def _first_cycle_in(t: Tournament, mask: int) -> tuple[int, int, int] | None:
-    for tri in itertools.combinations(_bits(mask), 3):
-        if _cycle_count(t, tri) == 1:
-            return tri
-    return None
+    return next((tri for tri in itertools.combinations(_bits(mask), 3) if _cycle_count(t, tri) == 1), None)
 
 
 def separated(t: Tournament, x: int, y: int) -> SeparationWitness | None:
@@ -116,62 +103,87 @@ def _closure(t: Tournament, x: int, y: int) -> int:
     Autonomous sets that meet intersect in an autonomous set, so this set is
     unique.  An outside vertex that beats one member and is beaten by another
     lies in every autonomous set holding the members; such splitters are
-    added one at a time until none is left, O(n) big-int operations.
+    added until none is left, O(n) big-int operations.
     """
-    rows = t.rows
-    mask = (1 << x) | (1 << y)
-    beaten = rows[x] | rows[y]
-    beating = t.in_mask(x) | t.in_mask(y)
-    splitters = beaten & beating & ~mask
-    while splitters:
-        low = splitters & -splitters
-        v = low.bit_length() - 1
-        mask |= low
-        beaten |= rows[v]
-        beating |= t.in_mask(v)
-        splitters = beaten & beating & ~mask
+    mask, beaten, beating, add = 0, 0, 0, (1 << x) | (1 << y)
+    while add:
+        for v in _bits(add):
+            beaten, beating = beaten | t.rows[v], beating | t.in_mask(v)
+        mask |= add
+        add = beaten & beating & ~mask
     return mask
 
 
-def _is_acyclic_mask(t: Tournament, mask: int) -> bool:
-    """The restriction to mask is transitive: its out-degrees are distinct."""
-    degrees = set()
-    for v in _bits(mask):
-        d = (t.rows[v] & mask).bit_count()
-        if d in degrees:
-            return False
-        degrees.add(d)
-    return True
-
-
 def _classes(masks) -> tuple[tuple[int, ...], ...]:
-    """Classes of a partition given as each vertex's class bitmask, ordered
-    by least vertex."""
-    return tuple(tuple(_bits(m)) for m in dict.fromkeys(masks))
+    """Disjoint bitmasks as vertex tuples, ordered by least vertex."""
+    return tuple(tuple(_bits(m)) for m in sorted(masks, key=lambda m: m & -m))
+
+
+def _strong_components(t: Tournament, mask: int) -> list[int]:
+    """Strong components of t|mask, the dominating one first: each ends where
+    the vertices so far in score order beat every later one."""
+    cuts, seen, unbeaten = [0], 0, 0
+    for v in sorted(_bits(mask), key=lambda v: (t.rows[v] & mask).bit_count(), reverse=True):
+        seen, unbeaten = seen | 1 << v, unbeaten | ~t.rows[v]
+        if not unbeaten & mask & ~seen:
+            cuts.append(seen)
+    return [b ^ a for a, b in zip(cuts, cuts[1:])]
+
+
+def _maximal_modules(t: Tournament, mask: int) -> list[int]:
+    """Maximal modules of a strongly connected t|mask other than mask.  Those
+    avoiding its least vertex v partition the rest: a part is split by any
+    vertex of mask outside it that beats some but not all of it.  The module
+    holding v is v with each part whose closure with v is not all of mask."""
+    rows, low = t.rows, mask & -mask
+    todo, own, modules = [mask ^ low], low, []
+    while todo:
+        part = todo.pop()
+        beaten = unbeaten = 0  # by some vertex of part
+        for u in _bits(part):
+            beaten, unbeaten = beaten | rows[u], unbeaten | ~rows[u]
+        splitters = beaten & unbeaten & (mask ^ part)
+        if splitters:
+            row = rows[(splitters & -splitters).bit_length() - 1]
+            todo += (part & row, part & ~row)
+        elif _closure(t, low.bit_length() - 1, (part & -part).bit_length() - 1) == mask:
+            modules.append(part)
+        else:
+            own |= part
+    return sorted(modules + [own])
+
+
+def _strong_tree(t: Tournament) -> dict[int, tuple[str, list[int]]]:
+    """Each strong module (one overlapping no module) of 2+ vertices mapped to
+    its kind and children: LINEAR with its strong components in condensation
+    order, or, if strongly connected, PRIME with its maximal proper modules,
+    which hold every smaller module.  Polynomial; singletons are leaves."""
+    tree = {}
+    todo = [(1 << t.n) - 1] if t.n != 1 else []
+    while todo:
+        mask = todo.pop()
+        children = _strong_components(t, mask)
+        tree[mask] = (LINEAR, children) if len(children) != 1 else (PRIME, _maximal_modules(t, mask))
+        todo += (c for c in tree[mask][1] if c & (c - 1))
+    return tree
 
 
 def acyclic_components(t: Tournament) -> Decomposition:
     """Partition into maximal acyclic autonomous blocks with the quotient.
 
-    x and y share a block iff their closure, the smallest autonomous set holding
-    both, is acyclic; such a closure joins all its members at once.  Blocks are
-    ordered by least vertex; the quotient takes one vertex per block.  The
-    result is checked (relation transitive, blocks acyclic and autonomous,
-    quotient free of non-trivial acyclic autonomous sets) and
-    INTERNAL_INCONSISTENCY signals a bug, never an expected outcome.
-    """
-    n = t.n
-    together = [1 << v for v in range(n)]
-    for x in range(n):
-        for y in range(n - 1, x, -1):  # far pairs first: one acyclic closure joins a whole block
-            closure = 0 if together[x] >> y & 1 else _closure(t, x, y)
-            if closure and _is_acyclic_mask(t, closure):
-                for v in _bits(closure):
-                    together[v] |= closure
-    blocks = _classes(together)
+    An acyclic module of 2+ vertices is a run of consecutive leaf children of
+    a LINEAR node of the strong-module tree: the blocks are the maximal runs
+    and the other vertices alone, by least vertex, and the quotient takes one
+    vertex of each.  A failed self-check (partition, blocks acyclic and
+    autonomous, quotient acyclically indecomposable) is a bug and raises
+    INTERNAL_INCONSISTENCY."""
+    tree = _strong_tree(t)
+    runs = [reduce(or_, run) for kind, children in tree.values() if kind == LINEAR
+            for leaf, run in itertools.groupby(children, lambda c: c & (c - 1) == 0) if leaf]
+    blocks = _classes(runs + [1 << v for v in _bits((1 << t.n) - 1 & ~reduce(or_, runs, 0))])
+    if sorted(v for b in blocks for v in b) != list(range(t.n)):
+        raise TournamentError("INTERNAL_INCONSISTENCY", "blocks do not partition the vertex set")
     for b in blocks:
-        if any(together[v] != together[b[0]] for v in b):
-            raise TournamentError("INTERNAL_INCONSISTENCY", "non-separation relation is not transitive")
         if not is_acyclic(restrict(t, b)):
             raise TournamentError("INTERNAL_INCONSISTENCY", f"block {b} is not acyclic")
         if not is_autonomous(t, b):
@@ -180,7 +192,7 @@ def acyclic_components(t: Tournament) -> Decomposition:
     if not is_acyclically_indecomposable(quotient):
         raise TournamentError("INTERNAL_INCONSISTENCY", "quotient has a non-trivial acyclic autonomous set")
     spectrum = tuple(sorted((len(b) for b in blocks), reverse=True))
-    return Decomposition(blocks, quotient, spectrum)
+    return Decomposition(blocks, quotient, spectrum, tree)
 
 
 def spectrum(t: Tournament) -> tuple[int, ...]:
@@ -196,76 +208,63 @@ def is_acyclically_indecomposable(t: Tournament) -> bool:
 
 
 def is_indecomposable(t: Tournament) -> bool:
-    """No autonomous set strictly between one vertex and all of them: the
-    closure of every pair is the whole vertex set."""
-    full = (1 << t.n) - 1
-    return all(_closure(t, x, y) == full for x, y in itertools.combinations(range(t.n), 2))
+    """No autonomous set strictly between one vertex and all of them."""
+    return _is_prime(_strong_tree(t), t.n)
 
 
-def _common_cycle_mask(t: Tournament, a: int, b: int) -> int:
-    """Vertices forming a 3-cycle with the ordered pair a, b."""
-    if t.edge(a, b):
-        return t.rows[b] & t.in_mask(a)
-    return t.rows[a] & t.in_mask(b)
+def _is_prime(tree, n: int) -> bool:
+    """Up to 2 vertices, or a PRIME root whose children are all leaves."""
+    return n <= 2 or tree[(1 << n) - 1] == (PRIME, [1 << v for v in range(n)])
 
 
 def monomorphic_components(t: Tournament) -> tuple[tuple[int, ...], ...]:
-    """Classes of the largest-monomorphic-part partition.
-
-    Two vertices share a part iff they lie in a common acyclic component, in
-    an autonomous 3-cycle, or form a pair whose common-cycle vertex set C is
-    acyclic with the pair plus C autonomous.
-    """
-    return _monomorphic_classes(t, acyclic_components(t).blocks)
+    """Classes of the largest-monomorphic-part partition: two vertices share
+    a part iff they lie in a common acyclic component, in an autonomous 3-cycle,
+    or form a pair whose common-cycle set C is acyclic, the pair plus C autonomous."""
+    return _monomorphic_classes(acyclic_components(t))
 
 
-def _monomorphic_classes(t: Tournament, blocks) -> tuple[tuple[int, ...], ...]:
-    """``monomorphic_components`` given the blocks of the acyclic decomposition."""
-    n = t.n
-    part = [1 << v for v in range(n)]
+def _monomorphic_classes(d: Decomposition) -> tuple[tuple[int, ...], ...]:
+    """``monomorphic_components`` of a decomposition: an autonomous 3-cycle, or
+    pair with its C, is a PRIME node whose three children are blocks, two or
+    three of them single vertices, which it joins; the rest are the blocks."""
+    blocks = [sum(1 << v for v in b) for b in d.blocks]
+    joined = []
+    for kind, children in d.tree.values():
+        leaves = [c for c in children if c & (c - 1) == 0]
+        if kind == PRIME and len(children) == 3 and len(leaves) >= 2 and set(children) <= set(blocks):
+            joined.append(reduce(or_, leaves))
+    taken = reduce(or_, joined, 0)
+    return _classes([m for m in blocks if not m & taken] + joined)
 
-    def join(*vs):
-        m = 0
-        for v in vs:
-            m |= part[v]
-        for v in _bits(m):
-            part[v] = m
 
-    for b in blocks:
-        join(*b)
-    for x, y in itertools.combinations(range(n), 2):
-        if (part[x] >> y) & 1:
-            continue
-        zs = _common_cycle_mask(t, x, y)
-        z = next((z for z in _bits(zs) if is_autonomous(t, (x, y, z))), None)
-        if z is not None:
-            join(x, y, z)
-        elif _is_acyclic_mask(t, zs) and is_autonomous(t, [x, y, *_bits(zs)]):
-            join(x, y)
-    return _classes(part)
+def _subset_code_table(t: Tournament):
+    """Code bits of the induced subtournament on a vertex mask, memoized."""
+    if t.n > 10:
+        raise TournamentError("TOO_LARGE", f"oracle limited to 10 vertices, got {t.n}",
+                              {"consumed": t.n, "limit": 10, "where": "decomp.is_monomorphic_part_oracle"})
+    return cache(lambda mask: canonical_form(restrict(t, list(_bits(mask)))).bits)
+
+
+def _is_monomorphic_in(code, n: int, part: int) -> bool:
+    """``is_monomorphic_part_oracle`` on a ``_subset_code_table``: for each set
+    S outside part, the m-subsets of part give S one code for every m."""
+    inner = [sub for sub in range(1, 1 << n) if sub & part == sub]
+    for s in range(1 << n):
+        ref = {}  # the code of each size of slice
+        if not s & part and any(ref.setdefault(i.bit_count(), c := code(s | i)) != c for i in inner):
+            return False
+    return True
 
 
 def is_monomorphic_part_oracle(t: Tournament, subset) -> bool:
     """Definition-level check: swapping equal-size slices of the subset never
     changes the isomorphism type.  Exponential; guarded to n <= 10."""
-    if t.n > 10:
-        raise TournamentError("TOO_LARGE", f"oracle limited to 10 vertices, got {t.n}")
-    bset = sorted(set(subset))
-    for v in bset:
+    codes = _subset_code_table(t)
+    for v in sorted(set(subset)):
         if not 0 <= v < t.n:
             raise TournamentError("OUT_OF_RANGE", f"vertex {v} outside 0..{t.n - 1}")
-    outside = [v for v in range(t.n) if v not in bset]
-    for k in range(len(outside) + 1):
-        for s_out in itertools.combinations(outside, k):
-            for m in range(1, len(bset) + 1):
-                ref = None
-                for inner in itertools.combinations(bset, m):
-                    code = canonical_form(restrict(t, s_out + inner))
-                    if ref is None:
-                        ref = code
-                    elif code != ref:
-                        return False
-    return True
+    return _is_monomorphic_in(codes, t.n, sum(1 << v for v in set(subset)))
 
 
 def reconstruct(d: Decomposition, t: Tournament) -> Tournament:

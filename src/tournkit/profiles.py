@@ -49,7 +49,8 @@ def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> list[set[int]
     most (n+1)·C(N,n) of them."""
     for k in range(lo, hi + 1):
         if comb(t.n, k) > budget:
-            raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{k}) subsets exceed budget {budget}")
+            raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{k}) subsets exceed budget {budget}",
+                                  {"consumed": comb(t.n, k), "limit": budget, "where": "profiles.subset_census"})
     rows, codes = t.rows, [set() for _ in range(hi + 1)]
     stack = [((), (), 0)]  # (rows, members, least next vertex) of each prefix
     while stack:
@@ -107,13 +108,15 @@ def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
     counts = []
     for n in sizes:
         if spec.index.n > 8:
-            raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}")
+            raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}",
+                                  {"consumed": spec.index.n, "limit": 8, "where": "profiles.sum_profile"})
         if n < 0:
             raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
         keys = set()
         for seen, vec in enumerate(_bounded_vectors(spec.caps, n), 1):
             if seen > budget:
-                raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors")
+                raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors",
+                                      {"consumed": seen, "limit": budget, "where": "profiles.sum_profile"})
             support = tuple(i for i, m in enumerate(vec) if m)
             if support not in quotients:
                 blocks, q = _acyclic_blocks(spec.index, support)
@@ -225,4 +228,5 @@ def stabilized_profile(build, n_max: int, start: int = 2, limit: int | None = No
         if prev is not None and vals == prev:
             return vals, (prev_n, size)
         prev, prev_n = vals, size
-    raise TournamentError("BUDGET_EXCEEDED", f"no stabilisation up to size {limit}")
+    raise TournamentError("BUDGET_EXCEEDED", f"no stabilisation up to size {limit}",
+                          {"consumed": limit, "limit": limit, "where": "profiles.stabilized_profile"})

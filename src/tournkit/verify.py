@@ -7,6 +7,8 @@ import random
 import time
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from . import tfile
 from .core import (
@@ -28,10 +30,11 @@ from .core import (
 )
 from .decomp import (
     _bits,
+    _is_monomorphic_in,
+    _subset_code_table,
     acyclic_components,
     is_acyclically_indecomposable,
     is_autonomous,
-    is_monomorphic_part_oracle,
     monomorphic_components,
     reconstruct,
 )
@@ -114,7 +117,8 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
     if n > 9:
-        raise TournamentError("TOO_LARGE", "enumeration limited to n <= 9")
+        raise TournamentError("TOO_LARGE", "enumeration limited to n <= 9",
+                              {"consumed": n, "limit": 9, "where": "verify.enumerate_tournaments"})
     if n in _REPS:
         return list(_REPS[n])
     if n <= 1:
@@ -165,21 +169,12 @@ def _random_tournament(rng: random.Random, n: int) -> Tournament:
 
 
 def _oracle_partition(t: Tournament) -> tuple[tuple[int, ...], ...]:
-    """Maximal monomorphic parts straight from the definition (small n only)."""
-    n = t.n
-    parts = []
-    for mask in range(1, 1 << n):
-        subset = [v for v in range(n) if (mask >> v) & 1]
-        if is_monomorphic_part_oracle(t, subset):
-            parts.append(set(subset))
-    out = []
-    for v in range(n):
-        merged = set()
-        for p in parts:
-            if v in p:
-                merged |= p
-        out.append(tuple(sorted(merged)))
-    return tuple(sorted(set(out), key=min))
+    """Maximal monomorphic parts straight from the definition (small n only),
+    tested on one table of the 2^n subset codes."""
+    codes = _subset_code_table(t)
+    parts = [mask for mask in range(1, 1 << t.n) if _is_monomorphic_in(codes, t.n, mask)]
+    out = {tuple(_bits(reduce(or_, (p for p in parts if p >> v & 1)))) for v in range(t.n)}
+    return tuple(sorted(out, key=min))
 
 
 def _check_one_decomposition(t: Tournament, report: SuiteReport, with_oracle: bool) -> bool:
@@ -238,7 +233,8 @@ _PROFILE_NMAX_CAP = 9
 def check_profile_formulas(n_max: int) -> SuiteReport:
     """Stabilised family profiles against their closed forms and bounds."""
     if n_max > _PROFILE_NMAX_CAP:
-        raise TournamentError("BUDGET_EXCEEDED", f"n_max above {_PROFILE_NMAX_CAP} is out of budget")
+        raise TournamentError("BUDGET_EXCEEDED", f"n_max above {_PROFILE_NMAX_CAP} is out of budget",
+                              {"consumed": n_max, "limit": _PROFILE_NMAX_CAP, "where": "verify.check_profile_formulas"})
     report = SuiteReport("profile_formulas", {"n_max": n_max})
     t0 = time.perf_counter()
     v_known = (1, 1, 1, 2, 4, 9, 21, 48)
@@ -349,7 +345,8 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
     if n not in (2, 3):
         raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
     if size_bound > 8:
-        raise TournamentError("TOO_LARGE", "size bound limited to 8")
+        raise TournamentError("TOO_LARGE", "size bound limited to 8",
+                              {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})
     report = SuiteReport("compactness", {"n": n, "size_bound": size_bound})
     t0 = time.perf_counter()
     members = []

@@ -78,6 +78,28 @@ class TestQueries:
         assert data["blocks"] == [[0, 1]]
         assert data["quotient"]["n"] == 1
 
+    @pytest.mark.parametrize(
+        "text, payload",
+        [
+            ("0\n", {"n": 0, "blocks": [], "spectrum": [], "quotient": {"n": 0, "matrix": []},
+                     "acyclically_indecomposable": True, "indecomposable": True, "monomorphic_components": []}),
+            ("1\n0\n", {"n": 1, "blocks": [[0]], "spectrum": [1], "quotient": {"n": 1, "matrix": ["0"]},
+                         "acyclically_indecomposable": True, "indecomposable": True,
+                         "monomorphic_components": [[0]]}),
+            # a single edge is a LINEAR root, yet no autonomous set lies strictly between
+            ("2\n01\n00\n", {"n": 2, "blocks": [[0, 1]], "spectrum": [2], "quotient": {"n": 1, "matrix": ["0"]},
+                              "acyclically_indecomposable": False, "indecomposable": True,
+                              "monomorphic_components": [[0, 1]]}),
+        ],
+        ids=["n0", "n1", "n2"],
+    )
+    def test_decompose_tiny_cases_exact(self, text, payload, tmp_path, capsys):
+        f = tmp_path / "tiny.t"
+        f.write_text(text)
+        code, out, _ = run(capsys, "decompose", str(f))
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
     def test_decompose_k_family(self, tmp_path, capsys):
         f = tmp_path / "k3.t"
         run(capsys, "gen", "--family", "k", "--n", "3", "-o", str(f))

@@ -1,9 +1,13 @@
+import itertools
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tournkit.core import (
     TournamentError,
+    canonical_form,
     chain,
     cycle3,
     is_acyclic,
@@ -17,9 +21,12 @@ from tournkit import decomp
 from tournkit.decomp import (
     DIAMOND,
     DOUBLE_DIAMOND,
+    LINEAR,
+    PRIME,
     THREE_CYCLE,
+    _bits,
     _closure,
-    _is_acyclic_mask,
+    _strong_tree,
     acyclic_components,
     is_acyclically_indecomposable,
     is_autonomous,
@@ -34,7 +41,109 @@ from tournkit.families import KINDS, family
 from tournkit.verify import enumerate_tournaments
 
 from conftest import all_labeled_tournaments, random_tournament
-from test_core import diamond
+from test_core import diamond, tournaments
+
+
+# The pair-closure decomposition that the strong-module tree replaced, kept
+# verbatim as the oracle: _is_acyclic_mask, _classes and the pair loop of
+# acyclic_components, the all-pairs closure of is_indecomposable, and the
+# is_autonomous triple scan of _monomorphic_classes with _common_cycle_mask.
+
+
+def _is_acyclic_mask(t, mask):
+    """The restriction to mask is transitive: its out-degrees are distinct."""
+    degrees = set()
+    for v in _bits(mask):
+        d = (t.rows[v] & mask).bit_count()
+        if d in degrees:
+            return False
+        degrees.add(d)
+    return True
+
+
+def _classes(masks):
+    """Classes of a partition given as each vertex's class bitmask, ordered
+    by least vertex."""
+    return tuple(tuple(_bits(m)) for m in dict.fromkeys(masks))
+
+
+def oracle_blocks(t):
+    """Blocks of acyclic_components by the pair loop over closures."""
+    n = t.n
+    together = [1 << v for v in range(n)]
+    for x in range(n):
+        for y in range(n - 1, x, -1):  # far pairs first: one acyclic closure joins a whole block
+            closure = 0 if together[x] >> y & 1 else _closure(t, x, y)
+            if closure and _is_acyclic_mask(t, closure):
+                for v in _bits(closure):
+                    together[v] |= closure
+    return _classes(together)
+
+
+def oracle_is_indecomposable(t):
+    """No autonomous set strictly between one vertex and all of them: the
+    closure of every pair is the whole vertex set."""
+    full = (1 << t.n) - 1
+    return all(_closure(t, x, y) == full for x, y in itertools.combinations(range(t.n), 2))
+
+
+def _common_cycle_mask(t, a, b):
+    """Vertices forming a 3-cycle with the ordered pair a, b."""
+    if t.edge(a, b):
+        return t.rows[b] & t.in_mask(a)
+    return t.rows[a] & t.in_mask(b)
+
+
+def oracle_monomorphic_classes(t, blocks):
+    """``monomorphic_components`` given the blocks of the acyclic decomposition."""
+    n = t.n
+    part = [1 << v for v in range(n)]
+
+    def join(*vs):
+        m = 0
+        for v in vs:
+            m |= part[v]
+        for v in _bits(m):
+            part[v] = m
+
+    for b in blocks:
+        join(*b)
+    for x, y in itertools.combinations(range(n), 2):
+        if (part[x] >> y) & 1:
+            continue
+        zs = _common_cycle_mask(t, x, y)
+        z = next((z for z in _bits(zs) if is_autonomous(t, (x, y, z))), None)
+        if z is not None:
+            join(x, y, z)
+        elif _is_acyclic_mask(t, zs) and is_autonomous(t, [x, y, *_bits(zs)]):
+            join(x, y)
+    return _classes(part)
+
+
+def definition_is_monomorphic_part(t, subset):
+    """is_monomorphic_part_oracle before its table of subset codes: every
+    slice is canonized on its own."""
+    bset = sorted(set(subset))
+    outside = [v for v in range(t.n) if v not in bset]
+    for k in range(len(outside) + 1):
+        for s_out in itertools.combinations(outside, k):
+            for m in range(1, len(bset) + 1):
+                ref = None
+                for inner in itertools.combinations(bset, m):
+                    code = canonical_form(restrict(t, s_out + inner))
+                    if ref is None:
+                        ref = code
+                    elif code != ref:
+                        return False
+    return True
+
+
+def assert_tree_matches_oracles(t):
+    d = acyclic_components(t)
+    blocks = oracle_blocks(t)
+    assert d.blocks == blocks
+    assert is_indecomposable(t) == oracle_is_indecomposable(t)
+    assert monomorphic_components(t) == oracle_monomorphic_classes(t, blocks)
 
 
 def _together(t, x, y):
@@ -289,7 +398,8 @@ class TestClosure:
 
         monkeypatch.setattr(decomp, "_closure", counting)
         assert acyclic_components(chain(160)).blocks == (tuple(range(160)),)
-        assert calls == [(0, 159)]
+        # a chain is one LINEAR node of leaves: no PRIME node, no closure
+        assert calls == []
 
     def test_blocks_are_classes_of_together(self):
         # pairs skipped as already joined must agree with their own closure
@@ -328,6 +438,14 @@ class TestMonomorphic:
     def test_oracle_whole_chain(self):
         assert is_monomorphic_part_oracle(chain(4), range(4))
 
+    def test_oracle_matches_definition(self, rng):
+        cases = [t for n in range(6) for t in enumerate_tournaments(n)]
+        cases += [random_tournament(rng, 6) for _ in range(4)]
+        for t in cases:
+            for k in range(t.n + 1):
+                for subset in combinations(range(t.n), k):
+                    assert is_monomorphic_part_oracle(t, subset) == definition_is_monomorphic_part(t, subset)
+
     def test_oracle_too_large(self):
         with pytest.raises(TournamentError) as e:
             is_monomorphic_part_oracle(chain(11), [0])
@@ -336,7 +454,7 @@ class TestMonomorphic:
     def test_agreement_with_oracle_exhaustive(self):
         from tournkit.verify import enumerate_tournaments, _oracle_partition
 
-        for n in range(1, 6):
+        for n in range(1, 7):
             for t in enumerate_tournaments(n):
                 assert monomorphic_components(t) == _oracle_partition(t)
 
@@ -347,3 +465,93 @@ class TestMonomorphic:
             for part in monomorphic_components(t):
                 if len(part) >= 4:
                     assert part in acyc
+
+
+@st.composite
+def lex_sums(draw, max_n=40):
+    """A lex sum of small tournaments, chains and 3-cycles over a small index,
+    so that modules of every kind occur."""
+    index = draw(tournaments(max_n=5))
+    piece = st.one_of(st.integers(1, 8).map(chain), st.just(cycle3()), tournaments(max_n=6))
+    blocks = [draw(piece) for _ in range(index.n)]
+    t = lex_sum(index, blocks)
+    return t if t.n <= max_n else blocks[0]
+
+
+NESTED = [
+    lex_sum(cycle3(), [lex_sum(chain(3), [cycle3(), chain(2), family("v", 2)]), chain(4), cycle3()]),
+    lex_sum(chain(2), [lex_sum(cycle3(), [lex_sum(chain(2), [cycle3(), chain(3)]), chain(1), chain(2)]), cycle3()]),
+    lex_sum(family("v", 2), [lex_sum(cycle3(), [chain(2), lex_sum(cycle3(), [chain(1), chain(1), chain(3)]), chain(1)]),
+                             chain(1), chain(5), cycle3(), lex_sum(chain(3), [cycle3()] * 3)]),
+    lex_sum(cycle3(), [lex_sum(cycle3(), [lex_sum(cycle3(), [chain(2)] * 3)] * 3)] * 3),
+]
+
+
+class TestStrongTree:
+    def test_small_trees(self):
+        assert _strong_tree(chain(0)) == {0: (LINEAR, [])}
+        assert _strong_tree(chain(1)) == {}
+        assert _strong_tree(chain(3)) == {0b111: (LINEAR, [1, 2, 4])}
+        assert _strong_tree(cycle3()) == {0b111: (PRIME, [1, 2, 4])}
+        t = lex_sum(chain(2), [cycle3(), chain(2)])
+        assert _strong_tree(t) == {0b11111: (LINEAR, [0b111, 8, 16]), 0b111: (PRIME, [1, 2, 4])}
+        t = lex_sum(cycle3(), [chain(2), chain(1), chain(1)])
+        assert _strong_tree(t) == {0b1111: (PRIME, [0b11, 4, 8]), 0b11: (LINEAR, [1, 2])}
+
+    def test_nodes_are_strong_modules(self, rng):
+        # children partition their node and are modules; a LINEAR node's children
+        # beat each later one and its non-leaves are strongly connected; a PRIME
+        # node's quotient is indecomposable
+        cases = [random_tournament(rng, rng.randint(2, 12)) for _ in range(40)] + NESTED
+        cases += [family(kind, 4) for kind in KINDS]
+        for t in cases:
+            tree = _strong_tree(t)
+            assert (1 << t.n) - 1 in tree
+            for mask, (kind, children) in tree.items():
+                assert sum(children) == mask and all(a & b == 0 for a, b in combinations(children, 2))
+                assert all(is_autonomous(t, list(_bits(c))) for c in children)
+                heads = [(c & -c).bit_length() - 1 for c in children]
+                if kind == LINEAR:
+                    assert all(t.edge(a, b) for a, b in combinations(heads, 2))
+                    assert all(tree[c][0] == PRIME for c in children if c & (c - 1))
+                else:
+                    assert kind == PRIME and len(children) >= 3
+                    assert oracle_is_indecomposable(restrict(t, heads))
+
+    def test_matches_oracles_exhaustive(self, rng):
+        for n in range(8):
+            for t in enumerate_tournaments(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert_tree_matches_oracles(t)
+                assert_tree_matches_oracles(relabel(t, perm))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(tournaments(max_n=40), lex_sums()), st.randoms(use_true_random=False))
+    def test_matches_oracles_hypothesis(self, t, r):
+        perm = list(range(t.n))
+        r.shuffle(perm)
+        assert_tree_matches_oracles(relabel(t, perm))
+
+    def test_matches_oracles_families(self):
+        for kind in KINDS:
+            for length in range(1, 13):
+                assert_tree_matches_oracles(family(kind, length))
+
+    def test_matches_oracles_nested_lex_sums(self):
+        rng = random.Random(31)
+        for t in NESTED:
+            perm = list(range(t.n))
+            rng.shuffle(perm)
+            assert_tree_matches_oracles(t)
+            assert_tree_matches_oracles(relabel(t, perm))
+
+    def test_large_inputs(self):
+        # 120 vertices each: a chain of 40 autonomous 3-cycles, and a 3-cycle of chains
+        t = family("c3", 40)
+        assert acyclic_components(t).blocks == tuple((v,) for v in range(120))
+        assert is_acyclically_indecomposable(t) and not is_indecomposable(t)
+        t = lex_sum(cycle3(), [chain(40)] * 3)
+        assert acyclic_components(t).blocks == tuple(tuple(range(k, k + 40)) for k in (0, 40, 80))
+        assert not is_acyclically_indecomposable(t) and not is_indecomposable(t)
+        assert monomorphic_components(t) == acyclic_components(t).blocks
