@@ -94,40 +94,115 @@ def sum_profile(spec: SumSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
     acyclic autonomous pair, so the maximal acyclic autonomous blocks of
     Q[chains] are exactly its chains: an acyclic autonomous set meeting two
     chains would project to one on at least 2 vertices of Q.  So two sums are
-    isomorphic iff their quotients are, with matching block weights.  Each
-    vector is keyed by |Q|, the canonical code of Q and the least reading of
-    the block weights in canonical order over Aut(Q), once per support; no
-    n-vertex tournament is built.
+    isomorphic iff their quotients are, with block weights (read in Q's
+    canonical order) in one orbit of Aut(Q).
+
+    The weights S can give form a box: a block b takes every total in
+    [|b|, sum of the caps on b], unbounded if one of them is.  So the types
+    over one quotient class are the Aut(Q)-orbits of the union of the boxes
+    of its supports and their images, and Burnside counts them at every size
+    at once: the mean over sigma in Aut(Q) of the vectors fixed by sigma,
+    which are constant on sigma's cycles.  With every cap unbounded each
+    class has the single box {w >= 1}: one vertex per block of S is a support
+    with the same quotient and only singleton blocks.  No contribution vector
+    and no n-vertex tournament is built.
     """
     return _sum_profiles(spec, (n,), budget)[0]
 
 
 def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
-    """``sum_profile`` at each of sizes, sharing one weighted quotient per support."""
-    quotients = {}  # support -> (blocks, (|Q|, code of Q), canonical block orders under Aut(Q))
-    counts = []
+    """``sum_profile`` at each of sizes, by one Burnside count per quotient class."""
     for n in sizes:
         if spec.index.n > 8:
             raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}",
                                   {"consumed": spec.index.n, "limit": 8, "where": "profiles.sum_profile"})
         if n < 0:
             raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
-        keys = set()
-        for seen, vec in enumerate(_bounded_vectors(spec.caps, n), 1):
-            if seen > budget:
-                raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors",
-                                      {"consumed": seen, "limit": budget, "where": "profiles.sum_profile"})
-            support = tuple(i for i, m in enumerate(vec) if m)
-            if support not in quotients:
-                blocks, q = _acyclic_blocks(spec.index, support)
-                code, _, order, gens = _search(q.rows)
-                readings = [tuple(g[v] for v in order) for g in _group([g for g, _ in gens], q.n)]
-                quotients[support] = blocks, (q.n, code), readings
-            blocks, head, readings = quotients[support]
-            weights = [sum(map(vec.__getitem__, b)) for b in blocks]
-            keys.add(head + min(tuple(map(weights.__getitem__, r)) for r in readings))
-        counts.append(len(keys))
-    return tuple(counts)
+        if _vector_count(spec.caps, n) > budget:
+            raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors",
+                                  {"consumed": max(budget, 0) + 1, "limit": budget, "where": "profiles.sum_profile"})
+    if not sizes:
+        return ()
+    low, high = min(sizes), max(sizes)
+    live = [v for v, c in enumerate(spec.caps) if c is UNBOUNDED or c > 0]
+    classes = {}  # (|Q|, code of Q) -> (Aut(Q) on canonical positions, boxes there)
+    for subset in range(1, 1 << len(live)):
+        if subset.bit_count() > high:
+            continue
+        support = tuple(v for i, v in enumerate(live) if subset >> i & 1)
+        blocks, q = _acyclic_blocks(spec.index, support)
+        code, _, order, gens = _search(q.rows)
+        group = _group([g for g, _ in gens], q.n)
+        perms, boxes = classes.setdefault((q.n, code), ([], set()))
+        if not perms:
+            position = {v: i for i, v in enumerate(order)}
+            perms += [tuple(position[g[v]] for v in order) for g in group]
+        # each block's least and most total; no size above high needs more
+        bounds = [(len(b), min(high, sum(high if spec.caps[v] is UNBOUNDED else spec.caps[v] for v in b)))
+                  for b in blocks]
+        boxes.update(tuple(bounds[g[v]] for v in order) for g in group)
+    found = {}
+    for perms, boxes in classes.values():
+        # a box inside another adds nothing to the union
+        boxes = [a for a in boxes
+                 if not any(a != b and all(bl <= al and ah <= bh for (al, ah), (bl, bh) in zip(a, b)) for b in boxes)]
+        orbits = {}
+        for perm in perms:
+            for total, ways in _fixed_vectors(perm, boxes, low, high).items():
+                orbits[total] = orbits.get(total, 0) + ways
+        for total, ways in orbits.items():
+            found[total] = found.get(total, 0) + ways // len(perms)
+    return tuple(found.get(n, 0) if n else 1 for n in sizes)
+
+
+def _fixed_vectors(perm, boxes, low: int, high: int) -> dict[int, int]:
+    """Vectors with totals in low..high, fixed by perm and in the union of boxes.
+
+    A fixed vector is constant on perm's cycles, so it is chosen one cycle
+    at a time: a state is (boxes still holding the vector, running total),
+    and a value is tried only if the cycles after it, inside one of those
+    boxes, can bring the total into low..high."""
+    seen, cycles = set(), []
+    for start in range(len(perm)):
+        cycle = []
+        while start not in seen:
+            seen.add(start)
+            cycle.append(start)
+            start = perm[start]
+        if cycle:
+            cycles.append(cycle)
+    spans = [[(max(box[p][0] for p in c), min(box[p][1] for p in c)) for c in cycles] for box in boxes]
+    spans = [s for s in spans if all(lo <= hi for lo, hi in s)]
+    tails = []  # per box and cycle j: least and most that cycles j.. add inside the box
+    for s in spans:
+        tail = [(0, 0)]
+        for c, (lo, hi) in zip(reversed(cycles), reversed(s)):
+            tail.append((tail[-1][0] + len(c) * lo, tail[-1][1] + len(c) * hi))
+        tails.append(tail[::-1])
+    states = {((1 << len(spans)) - 1, 0): 1}
+    for j, cycle in enumerate(cycles):
+        # runs of values over which the set of boxes allowing them is constant
+        cuts = sorted({s[j][0] for s in spans} | {s[j][1] + 1 for s in spans})
+        runs = [(a, b - 1, sum(1 << k for k, s in enumerate(spans) if s[j][0] <= a <= s[j][1]))
+                for a, b in zip(cuts, cuts[1:])]
+        size, reach, after = len(cycle), {}, {}
+        for (mask, total), ways in states.items():
+            for a, b, allowed in runs:
+                both = mask & allowed
+                if not both:
+                    continue
+                if both not in reach:
+                    rest = [tails[k][j + 1] for k in range(len(spans)) if both >> k & 1]
+                    reach[both] = min(r[0] for r in rest), max(r[1] for r in rest)
+                least, most = reach[both]
+                for x in range(max(a, -((total + most - low) // size)), min(b, (high - total - least) // size) + 1):
+                    key = (both, total + size * x)
+                    after[key] = after.get(key, 0) + ways
+        states = after
+    counts = {}
+    for (_, total), ways in states.items():
+        counts[total] = counts.get(total, 0) + ways
+    return counts
 
 
 def _acyclic_blocks(index: Tournament, support) -> tuple[tuple[tuple[int, ...], ...], Tournament]:
@@ -136,19 +211,22 @@ def _acyclic_blocks(index: Tournament, support) -> tuple[tuple[tuple[int, ...], 
     return tuple(tuple(support[v] for v in b) for b in d.blocks), d.quotient
 
 
-def _bounded_vectors(caps, total):
-    """Vectors of contributions under caps that sum to total, in lex order."""
-    tops = [total if c is UNBOUNDED else min(c, total) for c in caps]
-    room = [sum(tops[i:]) for i in range(len(tops) + 1)]  # most that entries i.. hold
-    stack = [((), total)] if room[0] >= total else []
-    while stack:
-        head, left = stack.pop()
-        i = len(head)
-        if i == len(tops):
-            yield head
-            continue
-        for m in range(min(tops[i], left), max(0, left - room[i + 1]) - 1, -1):
-            stack.append((head + (m,), left - m))
+def _vector_count(caps, total: int) -> int:
+    """Number of contribution vectors under caps that sum to total: the
+    coefficient of x^total in the product over v of 1 + x + ... + x^caps[v],
+    which is prod over finite caps c > 0 of (1 - x^(c+1)), over (1 - x)^m
+    for the m non-zero caps."""
+    m = sum(1 for c in caps if c is UNBOUNDED or c > 0)
+    numerator = {0: 1}
+    for c in caps:
+        if c is not UNBOUNDED and c > 0:
+            shifted = dict(numerator)
+            for e, a in numerator.items():
+                shifted[e + c + 1] = shifted.get(e + c + 1, 0) - a
+            numerator = shifted
+    if not m:
+        return int(total == 0)
+    return sum(a * comb(total - e + m - 1, m - 1) for e, a in numerator.items() if e <= total)
 
 
 def sum_profile_sequence(spec: SumSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:

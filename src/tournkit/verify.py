@@ -31,11 +31,11 @@ from .core import (
 from .decomp import (
     _bits,
     _is_monomorphic_in,
+    _monomorphic_classes,
     _subset_code_table,
     acyclic_components,
     is_acyclically_indecomposable,
     is_autonomous,
-    monomorphic_components,
     reconstruct,
 )
 from .families import (
@@ -198,7 +198,7 @@ def _check_one_decomposition(t: Tournament, report: SuiteReport, with_oracle: bo
     if t.n > 0 and not is_isomorphic(reconstruct(d, t), t):
         report.counterexample("reconstruction", t)
         ok = False
-    mono = monomorphic_components(t)
+    mono = _monomorphic_classes(d)
     big_mono = {b for b in mono if len(b) >= 4}
     big_acyc = {b for b in d.blocks if len(b) >= 4}
     if big_mono != big_acyc:

@@ -1,11 +1,23 @@
 import itertools
-from math import comb
+import random
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tournkit import core, profiles
-from tournkit.core import TournamentError, canonical_form, chain, cycle3, lex_sum, make_tournament, relabel, restrict
+from tournkit.core import (
+    TournamentError,
+    automorphism_count,
+    canonical_form,
+    chain,
+    cycle3,
+    lex_sum,
+    make_tournament,
+    relabel,
+    restrict,
+)
 from tournkit.families import KINDS, family, family_size, witness
 from tournkit.profiles import (
     ProfileSeries,
@@ -20,6 +32,7 @@ from tournkit.profiles import (
     sum_profile,
     sum_profile_sequence,
 )
+from tournkit.verify import enumerate_tournaments
 
 from conftest import random_tournament
 from test_acceptance import SUM_SPECS
@@ -75,6 +88,50 @@ def oracle_sum_profile(spec, n, budget=profiles.DEFAULT_BUDGET):
         t = lex_sum(restrict(spec.index, support), [chain(vec[i]) for i in support])
         codes.add(canonical_form(t).bits)
     return len(codes)
+
+
+def oracle_keyed_vectors(caps, total):
+    """Vectors of contributions under caps that sum to total, in lex order."""
+    tops = [total if c is UNBOUNDED else min(c, total) for c in caps]
+    room = [sum(tops[i:]) for i in range(len(tops) + 1)]  # most that entries i.. hold
+    stack = [((), total)] if room[0] >= total else []
+    while stack:
+        head, left = stack.pop()
+        i = len(head)
+        if i == len(tops):
+            yield head
+            continue
+        for m in range(min(tops[i], left), max(0, left - room[i + 1]) - 1, -1):
+            stack.append((head + (m,), left - m))
+
+
+def oracle_keyed_sum_profile(spec, sizes, budget=profiles.DEFAULT_BUDGET):
+    """``sum_profile`` at each of sizes as it was before Burnside counting: one
+    key (|Q|, code of Q, least block-weight reading over Aut(Q)) per vector."""
+    quotients = {}  # support -> (blocks, (|Q|, code of Q), canonical block orders under Aut(Q))
+    counts = []
+    for n in sizes:
+        if spec.index.n > 8:
+            raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}",
+                                  {"consumed": spec.index.n, "limit": 8, "where": "profiles.sum_profile"})
+        if n < 0:
+            raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
+        keys = set()
+        for seen, vec in enumerate(oracle_keyed_vectors(spec.caps, n), 1):
+            if seen > budget:
+                raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors",
+                                      {"consumed": seen, "limit": budget, "where": "profiles.sum_profile"})
+            support = tuple(i for i, m in enumerate(vec) if m)
+            if support not in quotients:
+                blocks, q = profiles._acyclic_blocks(spec.index, support)
+                code, _, order, gens = core._search(q.rows)
+                readings = [tuple(g[v] for v in order) for g in core._group([g for g, _ in gens], q.n)]
+                quotients[support] = blocks, (q.n, code), readings
+            blocks, head, readings = quotients[support]
+            weights = [sum(map(vec.__getitem__, b)) for b in blocks]
+            keys.add(head + min(tuple(map(weights.__getitem__, r)) for r in readings))
+        counts.append(len(keys))
+    return tuple(counts)
 
 
 def outcome(fn, *args):
@@ -233,6 +290,7 @@ class TestSumProfile:
         ]
         for spec in specs:
             want = tuple(oracle_sum_profile(spec, n) for n in range(11))
+            assert oracle_keyed_sum_profile(spec, range(11)) == want
             assert sum_profile_sequence(spec, 10).values == want
             assert tuple(sum_profile(spec, n) for n in range(11)) == want
 
@@ -243,6 +301,7 @@ class TestSumProfile:
             else:
                 n_max = 18 if growth_of_sum(spec)["k"] >= 3 else 14
             want = tuple(oracle_sum_profile(spec, n) for n in range(n_max + 1))
+            assert oracle_keyed_sum_profile(spec, range(n_max + 1)) == want
             assert sum_profile_sequence(spec, n_max).values == want
 
     @settings(max_examples=100, deadline=None)
@@ -255,12 +314,40 @@ class TestSumProfile:
         pairs = itertools.combinations(range(len(caps)), 2)
         index = make_tournament(len(caps), [(a, b) if f else (b, a) for f, (a, b) in zip(flips, pairs)])
         spec = SumSpec(index, tuple(caps))
-        assert sum_profile(spec, n) == oracle_sum_profile(spec, n)
+        want = oracle_sum_profile(spec, n)
+        assert oracle_keyed_sum_profile(spec, (n,)) == (want,)
+        assert sum_profile(spec, n) == want
+
+    def test_matches_keyed_oracle_on_small_classes(self):
+        # every class with n <= 4 under every caps vector over {0, 1, 2, UNBOUNDED}
+        for n in range(5):
+            for index in enumerate_tournaments(n):
+                for caps in itertools.product((0, 1, 2, UNBOUNDED), repeat=n):
+                    spec = SumSpec(index, caps)
+                    assert sum_profile_sequence(spec, 10).values == oracle_keyed_sum_profile(spec, range(11))
+
+    def test_matches_keyed_oracle_on_five_vertex_classes(self):
+        rng = random.Random(20261018)
+        classes = enumerate_tournaments(5)
+        assert len(classes) == 12
+        for index in classes:
+            for _ in range(6):
+                spec = SumSpec(index, tuple(rng.choice((0, 1, 2, 3, UNBOUNDED)) for _ in range(5)))
+                assert sum_profile_sequence(spec, 10).values == oracle_keyed_sum_profile(spec, range(11))
 
     def test_vectors_match_recursive_oracle(self):
+        # the budget counts vectors as a coefficient instead of listing them
         for caps in [(), (0,), (UNBOUNDED,), (2, UNBOUNDED, 0, 1), (1, 1, 1), (UNBOUNDED,) * 4, (3, 0, UNBOUNDED)]:
             for total in range(8):
-                assert list(profiles._bounded_vectors(caps, total)) == list(oracle_bounded_vectors(caps, total))
+                assert profiles._vector_count(caps, total) == len(list(oracle_bounded_vectors(caps, total)))
+
+    def test_huge_sizes_with_few_vectors(self):
+        # one long chain among short ones: a handful of vectors at any size
+        assert sum_profile(SumSpec(chain(1), (UNBOUNDED,)), 10**9) == 1
+        assert sum_profile(SumSpec(cycle3(), (10**9, 10**9, 0)), 2 * 10**9) == 1
+        t5 = witness("T5")
+        for caps, n in [((10**9, 1, 1, 1, 1), 10**9), ((10**9, 2, 0, 1, 3), 10**9 + 3)]:
+            assert sum_profile(SumSpec(t5, caps), n) == oracle_keyed_sum_profile(SumSpec(t5, caps), (n,))[0]
 
     def test_t5_unbounded_at_30(self):
         # 46,376 contribution vectors: too many to canonize a 30-vertex lex sum for each
@@ -290,6 +377,18 @@ class TestSeriesFit:
         spec = SumSpec(cycle3(), (UNBOUNDED,) * 3)
         s = sum_profile_sequence(spec, 14)
         assert series_fit(s, 3) == [1, 0, -1, 0, 0, 1, 1]
+
+    def test_t5_numerator_and_leading_constant(self):
+        # phi(n) ~ a n^(k-1) with a = P(1) / (k! (k-1)!) = 1 / ((k-1)! |Aut(index)|)
+        t5 = witness("T5")
+        fit = series_fit(sum_profile_sequence(SumSpec(t5, (UNBOUNDED,) * 5), 30), 5)
+        assert fit == [1, 0, -1, 0, -1, 1, 2, 2, 3, 4, 4, 2, 3, 1, 1, 2]
+        assert series_fit(sum_profile_sequence(SumSpec(t5, (UNBOUNDED,) * 5), 35), 5) == fit
+        c3_fit = series_fit(sum_profile_sequence(SumSpec(cycle3(), (UNBOUNDED,) * 3), 14), 3)
+        for index, numerator, want in [(t5, fit, Fraction(1, 120)), (cycle3(), c3_fit, Fraction(1, 6))]:
+            k = index.n
+            a = Fraction(sum(numerator), factorial(k) * factorial(k - 1))
+            assert a == Fraction(1, factorial(k - 1) * automorphism_count(index)) == want
 
     def test_finite_profile_is_polynomial_at_k0(self):
         s = profile_sequence(cycle3(), 3)

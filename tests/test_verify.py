@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tournkit import core, verify
+from tournkit import core, decomp, verify
 from tournkit.core import CanonicalCode, Tournament, TournamentError, canonical_form, tournament_from_code
 from tournkit.tfile import loads
 from tournkit.verify import (
@@ -104,6 +104,14 @@ class TestDecompositionSuite:
         assert rep.passed
         counted = sum(c["details"]["classes"] for c in rep.checks if c["name"].startswith("exhaustive"))
         assert counted == 76
+
+    def test_one_tree_per_tournament(self, monkeypatch):
+        # the blocks and the monomorphic parts come from one strong-module tree
+        built = []
+        tree = decomp._strong_tree
+        monkeypatch.setattr(decomp, "_strong_tree", lambda t: built.append(t) or tree(t))
+        assert check_decomposition(6).passed
+        assert len(built) == 76
 
     def test_sampled_sizes_recorded(self):
         rep = check_decomposition(8, samples_per_size=5)
