@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import tfile
-from .core import ChainSpec, Tournament, TournamentError, canonical_form, embeds, find_embedding
+from .core import ChainSpec, Tournament, TournamentError, find_embedding
 from .decomp import _is_prime, _monomorphic_classes, acyclic_components, is_acyclically_indecomposable
 from .families import KINDS, WITNESS_NAMES, checked_family, family, schmerl_trotter, witness
 from .profiles import SumSpec, UNBOUNDED, growth_of_sum, series_fit, sum_profile_sequence, profile_sequence
@@ -138,17 +138,18 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# suite -> runner; runners look checks up when called, as a tracer rebinds them
+SUITES = {
+    "decomposition": lambda args: check_decomposition(args.n_max),
+    "formulas": lambda args: check_profile_formulas(args.n_max),
+    "incomparability": lambda args: check_incomparability(args.host_size),
+    "duality": lambda args: check_duality(args.max_chain),
+    "compactness": lambda args: check_compactness(args.n, args.size_bound),
+}
+
+
 def _cmd_verify(args) -> int:
-    if args.suite == "decomposition":
-        report = check_decomposition(args.n_max)
-    elif args.suite == "formulas":
-        report = check_profile_formulas(args.n_max)
-    elif args.suite == "incomparability":
-        report = check_incomparability(args.host_size)
-    elif args.suite == "duality":
-        report = check_duality(args.max_chain)
-    else:
-        report = check_compactness(args.n, args.size_bound)
+    report = SUITES[args.suite](args)
     sys.stdout.write(report.to_json() + "\n")
     if report.elapsed is not None:
         print(f"elapsed: {report.elapsed:.2f}s", file=sys.stderr)
@@ -198,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   choices=("decomposition", "formulas", "incomparability", "duality", "compactness"))
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--host-size", type=int, default=14)
     p.add_argument("--max-chain", type=int, default=5)
@@ -214,10 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TournamentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except OSError as exc:
+    except (TournamentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

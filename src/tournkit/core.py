@@ -436,7 +436,6 @@ def find_embedding(pattern: Tournament, host: Tournament) -> list[int] | None:
         if m == 0:
             return None
         cand.append(m)
-    host.in_mask(0)  # force transpose
     assigned = [-1] * np_
 
     def rec(cands, remaining):

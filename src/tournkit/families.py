@@ -27,8 +27,6 @@ X_SETS = {
     "k": frozenset({"d0^-1", "d1", "h1^-1"}) | _Y,
 }
 
-WITNESS_NAMES = ("tau1", "tau2", "T5", "U7", "V7", "H3")
-
 
 def _as_spec(c) -> ChainSpec:
     if isinstance(c, ChainSpec):
@@ -105,28 +103,29 @@ def schmerl_trotter(tag: str, h: int) -> Tournament:
     return make_tournament(n, edges)
 
 
+# name -> (its one family, builder); builders look helpers up when called, as a tracer rebinds them
+_WITNESSES = {
+    "tau1": ("c3", lambda: lex_sum(chain(2), [cycle3(), cycle3()])),
+    # one vertex of a 3-cycle blown up into a 3-cycle (5 vertices)
+    "tau2": ("k", lambda: lex_sum(cycle3(), [cycle3(), chain(1), chain(1)])),
+    "T5": ("t", lambda: schmerl_trotter("t", 2)),
+    "U7": ("u", lambda: schmerl_trotter("u", 3)),
+    "V7": ("v", lambda: schmerl_trotter("v", 3)),
+    "H3": ("h", lambda: family("h", 3)),
+}
+WITNESS_NAMES = tuple(_WITNESSES)
+
+
 def witness(name: str) -> Tournament:
     """Small separators: each lives in exactly one of the six families."""
-    single = chain(1)
-    if name == "tau1":
-        return lex_sum(chain(2), [cycle3(), cycle3()])
-    if name == "tau2":
-        # one vertex of a 3-cycle blown up into a 3-cycle (5 vertices)
-        return lex_sum(cycle3(), [cycle3(), single, single])
-    if name == "T5":
-        return schmerl_trotter("t", 2)
-    if name == "U7":
-        return schmerl_trotter("u", 3)
-    if name == "V7":
-        return schmerl_trotter("v", 3)
-    if name == "H3":
-        return family("h", 3)
-    raise TournamentError("UNKNOWN_WITNESS", f"no witness named {name!r}")
+    if not isinstance(name, str) or name not in _WITNESSES:
+        raise TournamentError("UNKNOWN_WITNESS", f"no witness named {name!r}")
+    return _WITNESSES[name][1]()
 
 
 def witness_family(name: str) -> str:
     """Which family a witness separates from the other five."""
-    return {"tau1": "c3", "tau2": "k", "T5": "t", "U7": "u", "V7": "v", "H3": "h"}[name]
+    return _WITNESSES[name][0]
 
 
 def family_size(kind: str, length: int) -> int:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import TournamentError
 
 C3_RECURRENCE = "C3_RECURRENCE"
@@ -14,35 +12,26 @@ U_LOWER = "U_LOWER"
 H_LOWER = "H_LOWER"
 V_LOWER = "V_LOWER"
 
-FORMULA_TAGS = (
-    C3_RECURRENCE,
-    CAMERON_DIAMOND_FREE,
-    K_CLOSED,
-    K_RECURRENCE,
-    U_LOWER,
-    H_LOWER,
-    V_LOWER,
-)
-
 # floor form of the C3 recurrence: round(d * c**n); c is the real root of
 # x**3 = x**2 + 1
 A000930_C = 1.465571231876768
 A000930_D = 0.611491991950812
 
 
-@lru_cache(maxsize=None)
 def _c3_value(n: int) -> int:
-    if n < 3:
-        return 1
-    return _c3_value(n - 1) + _c3_value(n - 3)
+    # window of three consecutive values, starting at n = 0, 1, 2
+    a, b, c = 1, 1, 1
+    for _ in range(n):
+        a, b, c = b, c, c + a
+    return a
 
 
-@lru_cache(maxsize=None)
 def _k_value(n: int) -> int:
     # profile of the K family via its dilation recurrence
-    if n <= 2:
-        return 1
-    return 1 + sum((n - j - 1) * _k_value(j) for j in range(1, n - 1))
+    values = [1, 1, 1]
+    for m in range(3, n + 1):
+        values.append(1 + sum((m - j - 1) * values[j] for j in range(1, m - 1)))
+    return values[n]
 
 
 def euler_totient(n: int) -> int:
@@ -64,21 +53,14 @@ def euler_totient(n: int) -> int:
 
 
 def partition_count(k: int, n: int) -> int:
-    """Partitions of n into at most k parts."""
+    """Partitions of n into at most k parts; by conjugation, into parts <= k."""
     if k < 0 or n < 0:
         raise TournamentError("DOMAIN", f"need k, n >= 0, got k={k}, n={n}")
-    return _partition(k, n)
-
-
-@lru_cache(maxsize=None)
-def _partition(k: int, n: int) -> int:
-    if n == 0:
-        return 1
-    if k == 0:
-        return 0
-    if n < k:
-        return _partition(n, n)
-    return _partition(k - 1, n) + _partition(k, n - k)
+    ways = [1] + [0] * n
+    for part in range(1, min(k, n) + 1):
+        for total in range(part, n + 1):
+            ways[total] += ways[total - part]
+    return ways[n]
 
 
 def _cameron(n: int) -> int:
@@ -91,44 +73,37 @@ def _cameron(n: int) -> int:
     return total // (2 * n)
 
 
+# tag -> (least n, what the tag is, value at n)
+_FORMULAS = {
+    C3_RECURRENCE: (0, "recurrence", _c3_value),
+    CAMERON_DIAMOND_FREE: (1, "count", _cameron),
+    K_CLOSED: (2, "closed form", lambda n: 2 ** (n - 2)),
+    K_RECURRENCE: (3, "recurrence", _k_value),
+    U_LOWER: (0, "bound", lambda n: max(2 ** (n - 2) - 1 - (n - 1) * (n - 2) // 2, 0) if n >= 2 else 0),
+    H_LOWER: (0, "bound", lambda n: max(2 ** (n - 4) - (n - 3) - 1, 0) if n >= 4 else 0),
+    V_LOWER: (0, "bound", lambda n: 2 ** (n - 5) if n >= 5 else 0),
+}
+FORMULA_TAGS = tuple(_FORMULAS)
+
+
 def formula_value(kind: str, n: int) -> int:
     """Evaluate one of the tagged closed forms / recurrences / bounds at n."""
-    if kind == C3_RECURRENCE:
-        if n < 0:
-            raise TournamentError("DOMAIN", "recurrence defined for n >= 0")
-        return _c3_value(n)
-    if kind == CAMERON_DIAMOND_FREE:
-        if n < 1:
-            raise TournamentError("DOMAIN", "count defined for n >= 1")
-        return _cameron(n)
-    if kind == K_CLOSED:
-        if n < 2:
-            raise TournamentError("DOMAIN", "closed form defined for n >= 2")
-        return 2 ** (n - 2)
-    if kind == K_RECURRENCE:
-        if n < 3:
-            raise TournamentError("DOMAIN", "recurrence defined for n >= 3")
-        return _k_value(n)
-    if kind == U_LOWER:
-        if n < 0:
-            raise TournamentError("DOMAIN", "bound defined for n >= 0")
-        return max(2 ** (n - 2) - 1 - (n - 1) * (n - 2) // 2, 0) if n >= 2 else 0
-    if kind == H_LOWER:
-        if n < 0:
-            raise TournamentError("DOMAIN", "bound defined for n >= 0")
-        return max(2 ** (n - 4) - (n - 3) - 1, 0) if n >= 4 else 0
-    if kind == V_LOWER:
-        if n < 0:
-            raise TournamentError("DOMAIN", "bound defined for n >= 0")
-        return 2 ** (n - 5) if n >= 5 else 0
-    raise TournamentError("DOMAIN", f"unknown formula tag {kind!r}")
+    if not isinstance(kind, str) or kind not in _FORMULAS:
+        raise TournamentError("DOMAIN", f"unknown formula tag {kind!r}")
+    least, noun, value = _FORMULAS[kind]
+    if n < least:
+        raise TournamentError("DOMAIN", f"{noun} defined for n >= {least}")
+    return value(n)
 
 
 def a000930_floor_form(n: int) -> int:
     """Float evaluation round(d * c**n), cross-checked against the recurrence."""
     if n < 0:
         raise TournamentError("DOMAIN", "defined for n >= 0")
-    value = int(A000930_D * A000930_C ** n + 0.5)
-    if n <= 30 and value != _c3_value(n):
+    try:
+        value = int(A000930_D * A000930_C ** n + 0.5)
+    except OverflowError:
+        raise TournamentError("PRECISION", f"floor form overflows a float at n={n}") from None
+    if value != _c3_value(n):
         raise TournamentError("PRECISION", f"floor form disagrees with recurrence at n={n}")
     return value

@@ -16,8 +16,6 @@ DEFAULT_BUDGET = 2_000_000
 @dataclass(frozen=True)
 class ProfileSeries:
     values: tuple[int, ...]
-    k: int | None = None
-    numerator: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)

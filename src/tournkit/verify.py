@@ -57,7 +57,7 @@ from .formulas import (
     V_LOWER,
     formula_value,
 )
-from .profiles import profile_count, stabilized_profile
+from .profiles import stabilized_profile
 
 
 @dataclass

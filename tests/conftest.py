@@ -4,17 +4,7 @@ import random
 import pytest
 
 from tournkit.core import Tournament
-
-
-def random_tournament(rng: random.Random, n: int) -> Tournament:
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-    return Tournament(n, rows)
+from tournkit.verify import _random_tournament as random_tournament
 
 
 def all_labeled_tournaments(n: int):

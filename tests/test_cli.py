@@ -18,6 +18,7 @@ from tournkit.decomp import (
 )
 from tournkit.families import family, witness
 from tournkit.tfile import dump_path, dumps, load_path
+from tournkit.verify import SuiteReport
 
 from conftest import random_tournament
 
@@ -228,6 +229,32 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "5")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "suite, check, argv, expect",
+        [
+            ("decomposition", "check_decomposition", ["--n-max", "3"], (3,)),
+            ("formulas", "check_profile_formulas", ["--n-max", "4"], (4,)),
+            ("incomparability", "check_incomparability", ["--host-size", "5"], (5,)),
+            ("duality", "check_duality", ["--max-chain", "2"], (2,)),
+            ("compactness", "check_compactness", ["--n", "3", "--size-bound", "6"], (3, 6)),
+        ],
+    )
+    def test_suite_dispatch_looks_check_up_when_run(self, monkeypatch, capsys, suite, check, argv, expect):
+        # a check rebound on the module after import (as a tracer does) is the one run
+        seen = []
+        monkeypatch.setattr(cli, check, lambda *a: seen.append(a) or SuiteReport(suite, {}))
+        code, out, _ = run(capsys, "verify", "--suite", suite, *argv)
+        assert code == 0
+        assert seen == [expect]
+        assert json.loads(out)["suite"] == suite
+
+    def test_unknown_suite_lists_choices_in_order(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "--suite", "nope"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "{decomposition,formulas,incomparability,duality,compactness}" in err
 
 
 class TestErrors:

@@ -21,6 +21,7 @@ from tournkit.decomp import (
 )
 from tournkit.families import (
     KINDS,
+    WITNESS_NAMES,
     checked_family,
     descending,
     family,
@@ -224,6 +225,12 @@ class TestWitnesses:
         with pytest.raises(TournamentError) as e:
             witness("tau9")
         assert e.value.code == "UNKNOWN_WITNESS"
+
+    def test_table_order_and_families(self):
+        assert WITNESS_NAMES == ("tau1", "tau2", "T5", "U7", "V7", "H3")
+        assert [witness_family(name) for name in WITNESS_NAMES] == ["c3", "k", "t", "u", "v", "h"]
+        with pytest.raises(KeyError):
+            witness_family("tau9")
 
     def test_each_witness_in_own_family(self):
         for name in ("tau1", "tau2", "T5", "U7", "V7", "H3"):

@@ -167,3 +167,60 @@ class TestFloorForm:
     def test_matches_recurrence(self):
         for n in range(31):
             assert a000930_floor_form(n) == formula_value(C3_RECURRENCE, n)
+
+    def test_checked_at_every_n(self):
+        assert a000930_floor_form(85) == formula_value(C3_RECURRENCE, 85)
+        for n in (86, 2000):
+            # from n = 86 the float form rounds wrong; at n = 2000 it overflows
+            with pytest.raises(TournamentError) as e:
+                a000930_floor_form(n)
+            assert e.value.code == "PRECISION"
+
+
+class TestLargeN:
+    """The oracles are loops, so large n neither recurses nor caches."""
+
+    def test_c3_recurrence_at_5000(self):
+        a, b, c = 1, 1, 1
+        for _ in range(5000):
+            a, b, c = b, c, c + a
+        assert formula_value(C3_RECURRENCE, 5000) == a
+
+    def test_partitions(self):
+        assert partition_count(2, 5000) == 2501
+        assert partition_count(5, 600) == 47289026
+
+    def test_k_recurrence_matches_closed_to_60(self):
+        for n in range(3, 61):
+            assert formula_value(K_RECURRENCE, n) == 2 ** (n - 2)
+
+
+class TestFormulaTable:
+    def test_tag_order(self):
+        assert FORMULA_TAGS == (
+            C3_RECURRENCE,
+            CAMERON_DIAMOND_FREE,
+            K_CLOSED,
+            K_RECURRENCE,
+            U_LOWER,
+            H_LOWER,
+            V_LOWER,
+        )
+
+    @pytest.mark.parametrize(
+        "tag, n, message",
+        [
+            (C3_RECURRENCE, -1, "recurrence defined for n >= 0"),
+            (CAMERON_DIAMOND_FREE, 0, "count defined for n >= 1"),
+            (K_CLOSED, 1, "closed form defined for n >= 2"),
+            (K_RECURRENCE, 2, "recurrence defined for n >= 3"),
+            (U_LOWER, -1, "bound defined for n >= 0"),
+            (H_LOWER, -1, "bound defined for n >= 0"),
+            (V_LOWER, -1, "bound defined for n >= 0"),
+            ("X", 3, "unknown formula tag 'X'"),
+        ],
+    )
+    def test_domain_messages(self, tag, n, message):
+        with pytest.raises(TournamentError) as e:
+            formula_value(tag, n)
+        assert str(e.value) == f"DOMAIN: {message}"
