@@ -135,6 +135,8 @@ def make_tournament(n: int, edges) -> Tournament:
 
 def chain(length: int, descending: bool = False) -> Tournament:
     """Transitive tournament: i beats j iff i < j (or i > j when descending)."""
+    if length < 0:
+        raise TournamentError("OUT_OF_RANGE", "chain length must be non-negative")
     if descending:
         rows = [((1 << i) - 1) for i in range(length)]
     else:
@@ -296,11 +298,16 @@ def _search(rows: tuple[int, ...]):
     Depth-first placement with an ordered partition of the unplaced vertices
     into bitmask cells, each homogeneous towards every placed vertex; the
     losers of the new vertex go first, which minimises its row.  Only the
-    first cell's candidates with the least row are tried; a node above the
-    best code and off the first leaf's code is cut.  A leaf equal to the
-    first or best leaf gives an automorphism generator and a jump back to
-    the two leaves' common ancestor.  A candidate in the orbit of an explored
-    sibling under the generators fixing the placed vertices is skipped
+    first cell's candidates with the least row are tried.  A row is, in cell
+    order, one block of all-ones low bits per cell, as many as the candidate
+    beats there, so the least rows are found by keeping, cell by cell, the
+    candidates that beat the fewest, until one is left or the cells run out;
+    the row is then built once.  Once every cell is a single vertex the rest
+    of the labeling is fixed, and its rows are emitted in one loop.  A node
+    above the best code and off the first leaf's code is cut.  A leaf equal
+    to the first or best leaf gives an automorphism generator and a jump back
+    to the two leaves' common ancestor.  A candidate in the orbit of an
+    explored sibling under the generators fixing the placed vertices is skipped
     (McKay & Piperno, "Practical graph isomorphism, II", 2014).
     """
     n = len(rows)
@@ -312,30 +319,50 @@ def _search(rows: tuple[int, ...]):
     def rec(cells, d, placed, same_first, vs_best):
         # same_first: prefix equals the first leaf's; vs_best: sign of prefix - best
         nonlocal first, best, first_order, best_order
-        if d == n:
+        if len(cells) == n - d:  # discrete: the rest of the labeling is fixed
+            vs = [c.bit_length() - 1 for c in cells]
+            for i, v in enumerate(vs):
+                rv, row = rows[v], 0
+                for u in vs[i + 1:]:
+                    row = row << 1 | rv >> u & 1
+                if first is not None:
+                    same_first = same_first and row == first[d + i]
+                    if vs_best == 0:
+                        vs_best = (row > best[d + i]) - (row < best[d + i])
+                    if vs_best > 0 and not same_first:
+                        del cur[d:]
+                        return n
+                cur.append(row)
+            order.extend(vs)
+            jump = n
             if first is not None and (same_first or vs_best == 0):
                 ref = first_order if same_first else best_order
                 moved = sum(1 << a for a, b in zip(ref, order) if a != b)
                 gens.append(([b for _, b in sorted(zip(ref, order))], moved))
-                return next(i for i in range(n) if ref[i] != order[i])
-            best, best_order = cur.copy(), order.copy()
-            if first is None:
-                first, first_order = best, best_order
-            return n
+                jump = next(i for i in range(n) if ref[i] != order[i])
+            else:
+                best, best_order = cur.copy(), order.copy()
+                if first is None:
+                    first, first_order = best, best_order
+            del cur[d:], order[d:]
+            return jump
         head, rest = cells[0], cells[1:]
-        low_row, targets = -1, 0
-        m = head
-        while m:
-            low = m & -m
-            m ^= low
-            rv = rows[low.bit_length() - 1]
-            row = (1 << (head & rv).bit_count()) - 1
-            for c in rest:
-                row = (row << c.bit_count()) | ((1 << (c & rv).bit_count()) - 1)
-            if low_row < 0 or row < low_row:
-                low_row, targets = row, low
-            elif row == low_row:
-                targets |= low
+        targets = head  # filtered cell by cell to the least count of out-neighbours
+        for c in cells:
+            if not targets & (targets - 1):
+                break
+            least, m = n, targets
+            while m:
+                low = m & -m
+                m ^= low
+                k = (c & rows[low.bit_length() - 1]).bit_count()
+                if k < least:
+                    least, targets = k, low
+                elif k == least:
+                    targets |= low
+        rv, low_row = rows[(targets & -targets).bit_length() - 1], 0
+        for c in cells:
+            low_row = (low_row << c.bit_count()) | ((1 << (c & rv).bit_count()) - 1)
         if first is not None:
             same_first = same_first and low_row == first[d]
             if vs_best == 0:
@@ -366,7 +393,7 @@ def _search(rows: tuple[int, ...]):
         cur.pop()
         return jump
 
-    rec([(1 << n) - 1], 0, 0, True, -1)
+    rec([(1 << n) - 1] if n else [], 0, 0, True, -1)
     code = 0
     for d, rowbits in enumerate(best):
         code = (code << (n - 1 - d)) | rowbits

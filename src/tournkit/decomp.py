@@ -130,13 +130,29 @@ def _strong_components(t: Tournament, mask: int) -> list[int]:
     return [b ^ a for a, b in zip(cuts, cuts[1:])]
 
 
+def _reach(start: int, step: dict[int, int], within: int) -> int:
+    """Vertices of within reachable from start, where step maps each vertex
+    to the bitmask of its successors."""
+    seen = frontier = start
+    while frontier:
+        succ = 0
+        for r in _bits(frontier):
+            succ |= step[r]
+        frontier = succ & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def _maximal_modules(t: Tournament, mask: int) -> list[int]:
     """Maximal modules of a strongly connected t|mask other than mask.  Those
     avoiding its least vertex v partition the rest: a part is split by any
-    vertex of mask outside it that beats some but not all of it.  The module
-    holding v is v with each part whose closure with v is not all of mask."""
+    vertex of mask outside it that beats some but not all of it.  A part P
+    forces a part P' when P' splits v and P, i.e. v and P's least vertex
+    differ towards P', so the least module holding v and P is v with every
+    part reachable from P.  The parts that reach all of them, the forcing
+    relation's one source component, are maximal modules; the others join v."""
     rows, low = t.rows, mask & -mask
-    todo, own, modules = [mask ^ low], low, []
+    todo, parts = [mask ^ low], {}  # each part keyed by its least vertex
     while todo:
         part = todo.pop()
         beaten = unbeaten = 0  # by some vertex of part
@@ -146,11 +162,18 @@ def _maximal_modules(t: Tournament, mask: int) -> list[int]:
         if splitters:
             row = rows[(splitters & -splitters).bit_length() - 1]
             todo += (part & row, part & ~row)
-        elif _closure(t, low.bit_length() - 1, (part & -part).bit_length() - 1) == mask:
-            modules.append(part)
         else:
-            own |= part
-    return sorted(modules + [own])
+            parts[(part & -part).bit_length() - 1] = part
+    reps, vrow = sum(1 << r for r in parts), rows[low.bit_length() - 1]
+    forces = {r: (vrow ^ rows[r]) & reps for r in parts}
+    seen = root = 0  # the root of the last search over unseen parts reaches them all
+    for r in parts:
+        if not seen >> r & 1:
+            root, seen = r, seen | _reach(1 << r, forces, reps & ~seen)
+    # r' is forced by the parts whose representative meets it unlike v does
+    forced_by = {r: reps & (rows[r] if vrow >> r & 1 else t.in_mask(r)) for r in parts}
+    modules = [parts[r] for r in _bits(_reach(1 << root, forced_by, reps))]
+    return sorted(modules + [mask ^ sum(modules)])
 
 
 def _strong_tree(t: Tournament) -> dict[int, tuple[str, list[int]]]:

@@ -116,16 +116,20 @@ _WITNESSES = {
 WITNESS_NAMES = tuple(_WITNESSES)
 
 
-def witness(name: str) -> Tournament:
-    """Small separators: each lives in exactly one of the six families."""
+def _witness_entry(name: str):
     if not isinstance(name, str) or name not in _WITNESSES:
         raise TournamentError("UNKNOWN_WITNESS", f"no witness named {name!r}")
-    return _WITNESSES[name][1]()
+    return _WITNESSES[name]
+
+
+def witness(name: str) -> Tournament:
+    """Small separators: each lives in exactly one of the six families."""
+    return _witness_entry(name)[1]()
 
 
 def witness_family(name: str) -> str:
     """Which family a witness separates from the other five."""
-    return _WITNESSES[name][0]
+    return _witness_entry(name)[0]
 
 
 def family_size(kind: str, length: int) -> int:

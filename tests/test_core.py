@@ -8,6 +8,8 @@ from tournkit.core import (
     ChainSpec,
     Tournament,
     TournamentError,
+    _orbit,
+    _search,
     automorphism_count,
     canonical_form,
     chain,
@@ -92,6 +94,13 @@ class TestConstruction:
     def test_chain_is_acyclic(self):
         for n in range(1, 8):
             assert is_acyclic(chain(n))
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_chain_negative_length(self, descending):
+        with pytest.raises(TournamentError) as e:
+            chain(-2, descending=descending)
+        assert e.value.code == "OUT_OF_RANGE"
+        assert str(e.value) == "OUT_OF_RANGE: chain length must be non-negative"
 
     def test_chain_tournament_descending(self):
         t = chain_tournament(ChainSpec(4, "desc"))
@@ -394,6 +403,93 @@ def oracle_automorphism_count(t: Tournament) -> int:
     return count
 
 
+# the orbit-pruned search as it was before the per-cell candidate filter and
+# the discrete tail, kept verbatim
+
+
+def oracle_search(rows: tuple[int, ...]):
+    """Lex-min code, the first and the best leaf's labelings, automorphism generators.
+
+    Depth-first placement with an ordered partition of the unplaced vertices
+    into bitmask cells, each homogeneous towards every placed vertex; the
+    losers of the new vertex go first, which minimises its row.  Only the
+    first cell's candidates with the least row are tried; a node above the
+    best code and off the first leaf's code is cut.  A leaf equal to the
+    first or best leaf gives an automorphism generator and a jump back to
+    the two leaves' common ancestor.  A candidate in the orbit of an explored
+    sibling under the generators fixing the placed vertices is skipped
+    (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    """
+    n = len(rows)
+    first = best = first_order = best_order = None
+    gens: list[tuple[list[int], int]] = []  # (image of each vertex, moved vertices)
+    cur: list[int] = []  # rows emitted so far
+    order: list[int] = []  # vertices placed so far
+
+    def rec(cells, d, placed, same_first, vs_best):
+        # same_first: prefix equals the first leaf's; vs_best: sign of prefix - best
+        nonlocal first, best, first_order, best_order
+        if d == n:
+            if first is not None and (same_first or vs_best == 0):
+                ref = first_order if same_first else best_order
+                moved = sum(1 << a for a, b in zip(ref, order) if a != b)
+                gens.append(([b for _, b in sorted(zip(ref, order))], moved))
+                return next(i for i in range(n) if ref[i] != order[i])
+            best, best_order = cur.copy(), order.copy()
+            if first is None:
+                first, first_order = best, best_order
+            return n
+        head, rest = cells[0], cells[1:]
+        low_row, targets = -1, 0
+        m = head
+        while m:
+            low = m & -m
+            m ^= low
+            rv = rows[low.bit_length() - 1]
+            row = (1 << (head & rv).bit_count()) - 1
+            for c in rest:
+                row = (row << c.bit_count()) | ((1 << (c & rv).bit_count()) - 1)
+            if low_row < 0 or row < low_row:
+                low_row, targets = row, low
+            elif row == low_row:
+                targets |= low
+        if first is not None:
+            same_first = same_first and low_row == first[d]
+            if vs_best == 0:
+                vs_best = (low_row > best[d]) - (low_row < best[d])
+            if vs_best > 0 and not same_first:
+                return n
+        cur.append(low_row)
+        explored = orbits = 0
+        seen, jump = -1, n  # a jump to depth d or deeper resumes the loop here
+        while targets and jump >= d:
+            low = targets & -targets
+            targets ^= low
+            if explored and seen != len(gens):
+                seen = len(gens)
+                orbits = _orbit(explored, [g for g, moved in gens if not moved & placed])
+            if low & orbits:
+                continue
+            v = low.bit_length() - 1
+            rv = rows[v]
+            newcells = [x for c in (head ^ low, *rest) for x in (c & ~rv, c & rv) if x]
+            before = best
+            order.append(v)
+            jump = rec(newcells, d + 1, placed | low, same_first, vs_best)
+            order.pop()
+            if best is not before:  # a new best below shares this prefix
+                vs_best = 0
+            explored, orbits, seen = explored | low, orbits | low, -1
+        cur.pop()
+        return jump
+
+    rec([(1 << n) - 1], 0, 0, True, -1)
+    code = 0
+    for d, rowbits in enumerate(best):
+        code = (code << (n - 1 - d)) | rowbits
+    return code, first_order, best_order, gens
+
+
 def paley(q: int) -> Tournament:
     """Paley tournament on Z_q (q prime, q = 3 mod 4): i beats j iff j - i is a square."""
     squares = {x * x % q for x in range(1, q)}
@@ -487,3 +583,39 @@ class TestAutomorphismOracle:
     @pytest.mark.parametrize("length", [13, 20])
     def test_t_family_rigid(self, length):
         assert automorphism_count(family("t", length)) == 1
+
+
+class TestSearchOracle:
+    """``_search`` returns the oracle's code, first and best labelings and
+    generators: the census reads the best labeling, ``sum_profile`` the
+    labeling and generators, ``automorphism_count`` the first leaf and the
+    generators."""
+
+    def test_all_classes_up_to_7(self, rng):
+        for n in range(8):
+            for t in enumerate_tournaments(n):
+                for u in (t, relabeled(t, rng), relabeled(t, rng)):
+                    assert _search(u.rows) == oracle_search(u.rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tournaments(max_n=40))
+    def test_random_inputs(self, t):
+        assert _search(t.rows) == oracle_search(t.rows)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_family_members(self, kind, rng):
+        for length in range(1, 13):
+            for u in (family(kind, length), relabeled(family(kind, length), rng)):
+                assert _search(u.rows) == oracle_search(u.rows), (kind, length)
+
+    @pytest.mark.parametrize("t", [paley(19), paley(31), paley(43), family("c3", 20), family("t", 20)],
+                             ids=["paley19", "paley31", "paley43", "c3_20", "t20"])
+    def test_symmetric_objects(self, t):
+        assert _search(t.rows) == oracle_search(t.rows)
+
+    @pytest.mark.parametrize("n", [40, 60])
+    def test_seeded_random_batch(self, n):
+        r = random.Random(n)
+        for _ in range(20):
+            t = random_tournament(r, n)
+            assert _search(t.rows) == oracle_search(t.rows)

@@ -26,6 +26,7 @@ from tournkit.decomp import (
     THREE_CYCLE,
     _bits,
     _closure,
+    _maximal_modules,
     _strong_tree,
     acyclic_components,
     is_acyclically_indecomposable,
@@ -136,6 +137,34 @@ def definition_is_monomorphic_part(t, subset):
                     elif code != ref:
                         return False
     return True
+
+
+# The maximal modules of a prime node as they were found before the forcing
+# relation's source component: one closure with the least vertex per part,
+# kept verbatim.
+
+
+def oracle_maximal_modules(t, mask):
+    """Maximal modules of a strongly connected t|mask other than mask.  Those
+    avoiding its least vertex v partition the rest: a part is split by any
+    vertex of mask outside it that beats some but not all of it.  The module
+    holding v is v with each part whose closure with v is not all of mask."""
+    rows, low = t.rows, mask & -mask
+    todo, own, modules = [mask ^ low], low, []
+    while todo:
+        part = todo.pop()
+        beaten = unbeaten = 0  # by some vertex of part
+        for u in _bits(part):
+            beaten, unbeaten = beaten | rows[u], unbeaten | ~rows[u]
+        splitters = beaten & unbeaten & (mask ^ part)
+        if splitters:
+            row = rows[(splitters & -splitters).bit_length() - 1]
+            todo += (part & row, part & ~row)
+        elif _closure(t, low.bit_length() - 1, (part & -part).bit_length() - 1) == mask:
+            modules.append(part)
+        else:
+            own |= part
+    return sorted(modules + [own])
 
 
 def assert_tree_matches_oracles(t):
@@ -555,3 +584,40 @@ class TestStrongTree:
         assert acyclic_components(t).blocks == tuple(tuple(range(k, k + 40)) for k in (0, 40, 80))
         assert not is_acyclically_indecomposable(t) and not is_indecomposable(t)
         assert monomorphic_components(t) == acyclic_components(t).blocks
+
+
+def prime_nodes(t):
+    return [mask for mask, (kind, _) in _strong_tree(t).items() if kind == PRIME]
+
+
+class TestMaximalModules:
+    def test_matches_oracle_exhaustive(self, rng):
+        for n in range(8):
+            for t in enumerate_tournaments(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for u in (t, relabel(t, perm)):
+                    for mask in prime_nodes(u):
+                        assert _maximal_modules(u, mask) == oracle_maximal_modules(u, mask)
+
+    def test_matches_oracle_random(self):
+        rng = random.Random(40)
+        for _ in range(200):
+            t = random_tournament(rng, rng.randint(3, 40))
+            for mask in prime_nodes(t):
+                assert _maximal_modules(t, mask) == oracle_maximal_modules(t, mask)
+
+    def test_matches_oracle_families_and_nested_sums(self):
+        cases = [family(kind, length) for kind in KINDS for length in range(1, 15)] + NESTED
+        for t in cases:
+            for mask in prime_nodes(t):
+                assert _maximal_modules(t, mask) == oracle_maximal_modules(t, mask)
+
+    def test_k_family_without_closures(self, monkeypatch):
+        # 19 nested prime nodes, whose modules the oracle finds by 399 closures
+        t = family("k", 20)
+        masks = prime_nodes(t)
+        want = [oracle_maximal_modules(t, mask) for mask in masks]
+        assert len(masks) == 19
+        monkeypatch.setattr(decomp, "_closure", None)
+        assert [_maximal_modules(t, mask) for mask in masks] == want

@@ -229,8 +229,9 @@ class TestWitnesses:
     def test_table_order_and_families(self):
         assert WITNESS_NAMES == ("tau1", "tau2", "T5", "U7", "V7", "H3")
         assert [witness_family(name) for name in WITNESS_NAMES] == ["c3", "k", "t", "u", "v", "h"]
-        with pytest.raises(KeyError):
+        with pytest.raises(TournamentError) as e:
             witness_family("tau9")
+        assert e.value.code == "UNKNOWN_WITNESS"
 
     def test_each_witness_in_own_family(self):
         for name in ("tau1", "tau2", "T5", "U7", "V7", "H3"):
