@@ -97,23 +97,6 @@ def separated(t: Tournament, x: int, y: int) -> SeparationWitness | None:
     return None
 
 
-def _closure(t: Tournament, x: int, y: int) -> int:
-    """Bitmask of the smallest autonomous set containing x and y.
-
-    Autonomous sets that meet intersect in an autonomous set, so this set is
-    unique.  An outside vertex that beats one member and is beaten by another
-    lies in every autonomous set holding the members; such splitters are
-    added until none is left, O(n) big-int operations.
-    """
-    mask, beaten, beating, add = 0, 0, 0, (1 << x) | (1 << y)
-    while add:
-        for v in _bits(add):
-            beaten, beating = beaten | t.rows[v], beating | t.in_mask(v)
-        mask |= add
-        add = beaten & beating & ~mask
-    return mask
-
-
 def _classes(masks) -> tuple[tuple[int, ...], ...]:
     """Disjoint bitmasks as vertex tuples, ordered by least vertex."""
     return tuple(tuple(_bits(m)) for m in sorted(masks, key=lambda m: m & -m))

@@ -40,33 +40,51 @@ class SumSpec:
 def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> list[set[int]]:
     """Codes of the induced subtournaments with lo..hi vertices, by size.
 
-    One depth-first pass over the subsets, each grown in increasing vertex
-    order: a child's rows (those of ``restrict``, the keys of
-    ``_CANON_CACHE``) extend its parent's by one vertex in O(k) work.
-    Prefixes that cannot reach lo vertices are cut, so one size n visits at
-    most (n+1)·C(N,n) of them."""
+    A census level by level over prefixes, each a set of members taken in
+    increasing vertex order.  The rest of the search sees a prefix only
+    through its state, three integers:
+
+    - ``key``, the members' rows in member order (those of ``restrict``,
+      the keys of ``_CANON_CACHE``), one field of hi+1 bits per member;
+    - ``start``, the least next vertex;
+    - ``proj``, the members that each candidate w >= start beats, in the
+      (hi+1)-bit field of w.
+
+    A child's state follows from these and ``t.rows`` in O(1) big-int
+    operations, so prefixes with one state have the same subtree and each
+    level keeps a set of distinct states; the last level, which nothing
+    extends, keeps bare keys.  Prefixes that cannot reach lo vertices are
+    cut, and each distinct key of a size in lo..hi is canonized once."""
     for k in range(lo, hi + 1):
         if comb(t.n, k) > budget:
             raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{k}) subsets exceed budget {budget}",
                                   {"consumed": comb(t.n, k), "limit": budget, "where": "profiles.subset_census"})
-    rows, codes = t.rows, [set() for _ in range(hi + 1)]
-    stack = [((), (), 0)]  # (rows, members, least next vertex) of each prefix
-    while stack:
-        sub, members, start = stack.pop()
-        k = len(members)
-        if lo <= k <= hi:
-            codes[k].add(_cached_bits(sub))
-        bit = 1 << k
-        for u in range(start, min(t.n, t.n + k + 1 - lo) if k < hi else 0):
-            ru, ext, row = rows[u], [], 0
-            for i, (r, v) in enumerate(zip(sub, members)):
-                if ru >> v & 1:
-                    row |= 1 << i
-                    ext.append(r)
-                else:
-                    ext.append(r | bit)
-            ext.append(row)
-            stack.append((tuple(ext), members + (u,), u + 1))
+    n, width, codes = t.n, hi + 1, [set() for _ in range(hi + 1)]
+    field, pad = (1 << width) - 1, "0" * (width - 1)
+    above = [-1 << (u + 1) * width for u in range(n)]  # the fields after u's
+    states = {(0, 0, 0)}  # (key, start, proj) of the empty prefix
+    for k in range(hi + 1):
+        if k >= lo:
+            # level hi holds bare keys, unless it is the empty prefix's level
+            keys = states if k == hi > 0 else {key for key, _, _ in states}
+            codes[k] = {_cached_bits(tuple(key >> i * width & field for i in range(k))) for key in keys}
+        if k == hi:
+            break
+        # (m * spread) & slots moves bit i of a k-bit mask m to bit i * width,
+        # with no carries as k < width
+        spread = sum(1 << j * (width - 1) for j in range(k))
+        slots = sum(1 << i * width for i in range(k))
+        last, members = k + 1 == hi, (1 << k) - 1
+        # column[u]: bit k in the field of each vertex that beats u; width-1
+        # zeros between the binary digits of in_mask(u) spread them to fields
+        column = [] if last else [int(pad.join(format(t.in_mask(u), "b")), 2) << k for u in range(n)]
+        children = set()
+        for key, start, proj in states:
+            for u in range(start, min(n, n + k + 1 - lo)):
+                beaten = proj >> u * width & field
+                child = key | beaten << k * width | ((members ^ beaten) * spread & slots) << k
+                children.add(child if last else (child, u + 1, (proj | column[u]) & above[u]))
+        states = children
     return codes
 
 
@@ -78,6 +96,8 @@ def profile_count(t: Tournament, n: int, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def profile_sequence(t: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
+    if n_max < 0:
+        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
     counts = tuple(len(codes) for codes in _subset_codes(t, 0, min(n_max, t.n), budget))
     return ProfileSeries(counts + (0,) * (n_max - t.n))
 
@@ -228,6 +248,8 @@ def _vector_count(caps, total: int) -> int:
 
 
 def sum_profile_sequence(spec: SumSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
+    if n_max < 0:
+        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
     return ProfileSeries(_sum_profiles(spec, range(n_max + 1), budget))
 
 
@@ -292,6 +314,8 @@ def stabilized_profile(build, n_max: int, start: int = 2, limit: int | None = No
     constant once every type of size <= n_max fits, so agreement between N
     and N+1 is taken as stabilisation; both N values are returned.
     """
+    if n_max < 0:
+        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
     if limit is None:
         limit = n_max + 3
     prev = None

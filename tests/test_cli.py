@@ -268,3 +268,13 @@ class TestErrors:
         code, _, err = run(capsys, "decompose", str(f))
         assert code == 2
         assert "line 3" in err
+
+    def test_negative_profile_size(self, tmp_path, capsys):
+        f = tmp_path / "c3.t"
+        f.write_text("3\n010\n001\n100\n")
+        for argv in (("profile", str(f), "--max", "-1"),
+                     ("sum-profile", "--index", str(f), "--caps", "inf,inf,inf", "--max", "-1")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "OUT_OF_RANGE" in err

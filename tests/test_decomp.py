@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tournkit.core import (
+    Tournament,
     TournamentError,
     canonical_form,
     chain,
@@ -25,7 +26,6 @@ from tournkit.decomp import (
     PRIME,
     THREE_CYCLE,
     _bits,
-    _closure,
     _maximal_modules,
     _strong_tree,
     acyclic_components,
@@ -46,9 +46,26 @@ from test_core import diamond, tournaments
 
 
 # The pair-closure decomposition that the strong-module tree replaced, kept
-# verbatim as the oracle: _is_acyclic_mask, _classes and the pair loop of
-# acyclic_components, the all-pairs closure of is_indecomposable, and the
-# is_autonomous triple scan of _monomorphic_classes with _common_cycle_mask.
+# verbatim as the oracle: _closure, _is_acyclic_mask, _classes and the pair
+# loop of acyclic_components, the all-pairs closure of is_indecomposable, and
+# the is_autonomous triple scan of _monomorphic_classes with _common_cycle_mask.
+
+
+def _closure(t: Tournament, x: int, y: int) -> int:
+    """Bitmask of the smallest autonomous set containing x and y.
+
+    Autonomous sets that meet intersect in an autonomous set, so this set is
+    unique.  An outside vertex that beats one member and is beaten by another
+    lies in every autonomous set holding the members; such splitters are
+    added until none is left, O(n) big-int operations.
+    """
+    mask, beaten, beating, add = 0, 0, 0, (1 << x) | (1 << y)
+    while add:
+        for v in _bits(add):
+            beaten, beating = beaten | t.rows[v], beating | t.in_mask(v)
+        mask |= add
+        add = beaten & beating & ~mask
+    return mask
 
 
 def _is_acyclic_mask(t, mask):
@@ -419,15 +436,13 @@ class TestClosure:
 
     def test_long_chain_one_closure(self, monkeypatch):
         # the farthest pair's closure is the whole chain and joins every pair
+        long_chain = chain(160)
+        assert _closure(long_chain, 0, 159) == (1 << 160) - 1
+        # a chain is one LINEAR node of leaves: no PRIME node, so no search
+        # for maximal modules
         calls = []
-
-        def counting(t, x, y):
-            calls.append((x, y))
-            return _closure(t, x, y)
-
-        monkeypatch.setattr(decomp, "_closure", counting)
-        assert acyclic_components(chain(160)).blocks == (tuple(range(160)),)
-        # a chain is one LINEAR node of leaves: no PRIME node, no closure
+        monkeypatch.setattr(decomp, "_maximal_modules", lambda t, mask: calls.append(mask))
+        assert acyclic_components(long_chain).blocks == (tuple(range(160)),)
         assert calls == []
 
     def test_blocks_are_classes_of_together(self):
@@ -617,7 +632,13 @@ class TestMaximalModules:
         # 19 nested prime nodes, whose modules the oracle finds by 399 closures
         t = family("k", 20)
         masks = prime_nodes(t)
+        closures, columns, closure = [], [], _closure
+        monkeypatch.setitem(globals(), "_closure", lambda t, x, y: closures.append((x, y)) or closure(t, x, y))
         want = [oracle_maximal_modules(t, mask) for mask in masks]
-        assert len(masks) == 19
-        monkeypatch.setattr(decomp, "_closure", None)
+        assert (len(masks), len(closures)) == (19, 399)
+        # each closure reads the column of every vertex it adds; the forcing
+        # relation reads at most one column per part, fewer than |mask| of them
+        in_mask = Tournament.in_mask
+        monkeypatch.setattr(Tournament, "in_mask", lambda self, v: columns.append(v) or in_mask(self, v))
         assert [_maximal_modules(t, mask) for mask in masks] == want
+        assert len(columns) < sum(mask.bit_count() for mask in masks)

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -8,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from tournkit import core, profiles
 from tournkit.core import (
+    Tournament,
     TournamentError,
+    _cached_bits,
     automorphism_count,
     canonical_form,
     chain,
@@ -37,6 +41,7 @@ from tournkit.verify import enumerate_tournaments
 from conftest import random_tournament
 from test_acceptance import SUM_SPECS
 from test_core import diamond
+from test_decomp import NESTED
 
 
 def oracle_subset_codes(t, n, budget):
@@ -46,6 +51,39 @@ def oracle_subset_codes(t, n, budget):
     codes = set()
     for subset in itertools.combinations(range(t.n), n):
         codes.add(canonical_form(restrict(t, subset)).bits)
+    return codes
+
+
+def oracle_prefix_codes(t: Tournament, lo: int, hi: int, budget: int) -> list[set[int]]:
+    """The prefix-extension census that merged prefix states replaced.
+
+    One depth-first pass over the subsets, each grown in increasing vertex
+    order: a child's rows (those of ``restrict``, the keys of
+    ``_CANON_CACHE``) extend its parent's by one vertex in O(k) work.
+    Prefixes that cannot reach lo vertices are cut, so one size n visits at
+    most (n+1)·C(N,n) of them."""
+    for k in range(lo, hi + 1):
+        if comb(t.n, k) > budget:
+            raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{k}) subsets exceed budget {budget}",
+                                  {"consumed": comb(t.n, k), "limit": budget, "where": "profiles.subset_census"})
+    rows, codes = t.rows, [set() for _ in range(hi + 1)]
+    stack = [((), (), 0)]  # (rows, members, least next vertex) of each prefix
+    while stack:
+        sub, members, start = stack.pop()
+        k = len(members)
+        if lo <= k <= hi:
+            codes[k].add(_cached_bits(sub))
+        bit = 1 << k
+        for u in range(start, min(t.n, t.n + k + 1 - lo) if k < hi else 0):
+            ru, ext, row = rows[u], [], 0
+            for i, (r, v) in enumerate(zip(sub, members)):
+                if ru >> v & 1:
+                    row |= 1 << i
+                    ext.append(r)
+                else:
+                    ext.append(r | bit)
+            ext.append(row)
+            stack.append((tuple(ext), members + (u,), u + 1))
     return codes
 
 
@@ -134,6 +172,26 @@ def oracle_keyed_sum_profile(spec, sizes, budget=profiles.DEFAULT_BUDGET):
     return tuple(counts)
 
 
+@contextlib.contextmanager
+def line_limit(filename, limit):
+    """Fail once more than limit lines of filename have run inside the block."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        if count > limit:
+            raise AssertionError(f"more than {limit} lines of {filename} ran")
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == filename else None)
+    try:
+        yield
+    finally:
+        sys.settrace(previous)
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -177,13 +235,21 @@ class TestProfileCount:
                 assert profiles._subset_codes(t, n, n, 10**6)[n] == want
 
     def test_single_size_prunes_prefixes(self, monkeypatch):
-        # without pruning the pass would walk all 2^30 prefixes of chain(30);
-        # only the C(30,28) complete subsets reach a canonical lookup
+        # chain(30) in natural order has one state per (size, start): the
+        # C(30,28) subsets share one key, so the only lookup is the answer
         lookups = []
         monkeypatch.setattr(profiles, "_cached_bits", lambda rows: lookups.append(rows) or 0)
         assert profile_count(chain(30), 28) == 1
-        assert len(lookups) == comb(30, 28)
-        assert set(lookups) == {chain(28).rows}
+        assert lookups == [chain(28).rows]
+        # a relabeled chain merges few prefixes: without the cut of those that
+        # cannot reach 28 members the census would walk up to 2^30 of them;
+        # with it a k-member prefix skips at most 2 vertices, and under
+        # 40,000 lines run
+        monkeypatch.undo()
+        perm = list(range(30))
+        random.Random(28).shuffle(perm)
+        with line_limit(profiles.__file__, 200_000):
+            assert profile_count(relabel(chain(30), perm), 28) == 1
 
     def test_budget_errors_match_per_size_census(self):
         # a size over the budget raises only once every smaller size agreed
@@ -198,6 +264,74 @@ class TestProfileCount:
                     assert outcome(lambda: profile_sequence(t, n_max, budget).values) == want
 
 
+def census_agrees(t, lo, hi, by_size=None):
+    """``_subset_codes`` equals the DFS oracle and, if given, the per-size codes."""
+    got = profiles._subset_codes(t, lo, hi, 10**7)
+    assert got == oracle_prefix_codes(t, lo, hi, 10**7)
+    if by_size is not None:
+        assert got == [by_size[k] if k >= lo else set() for k in range(hi + 1)]
+
+
+class TestSubsetCensus:
+    def test_every_window_on_small_classes(self):
+        for n in range(8):
+            for t in enumerate_tournaments(n):
+                by_size = [oracle_subset_codes(t, k, 10**6) for k in range(n + 1)]
+                for lo in range(n + 1):
+                    for hi in range(lo, n + 1):
+                        census_agrees(t, lo, hi, by_size)
+
+    def test_empty_window(self):
+        # age_leq under budget 0 asks for sizes 0..-1 before raising at size 0
+        for t in (chain(0), cycle3(), family("k", 4)):
+            assert profiles._subset_codes(t, 0, -1, 0) == oracle_prefix_codes(t, 0, -1, 0) == []
+            for b in (chain(3), family("c3", 2)):
+                assert outcome(age_leq, t, b, 3, 0) == outcome(oracle_age_leq, t, b, 3, 0)
+                assert outcome(age_leq, t, b, 3, 0).startswith("BUDGET_EXCEEDED")
+
+    def test_random_windows(self):
+        rng = random.Random(11)
+        for n in range(14):
+            for _ in range(2):
+                t = random_tournament(rng, n)
+                by_size = [oracle_subset_codes(t, k, 10**6) for k in range(n + 1)]
+                windows = {(0, n), (n // 2, n // 2)}
+                windows |= {tuple(sorted(rng.sample(range(n + 1), 2))) for _ in range(2) if n}
+                for lo, hi in windows:
+                    census_agrees(t, lo, hi, by_size)
+
+    def test_family_members(self):
+        # natural order merges most prefixes, so hi = 9 is cheap up to 18 vertices
+        for kind in KINDS:
+            length = 1
+            while family_size(kind, length) <= 18:
+                t = family(kind, length)
+                hi = min(9, t.n)
+                census_agrees(t, 0, hi)
+                if t.n <= 13:
+                    census_agrees(t, hi, hi)
+                length += 1
+
+    def test_relabeled_family_members(self):
+        # a relabeling leaves few equal states, so every subset is canonized:
+        # hi = 9 up to 13 vertices, hi = 5 above
+        rng = random.Random(12)
+        for kind in KINDS:
+            length = 1
+            while family_size(kind, length) <= 18:
+                t = family(kind, length)
+                perm = list(range(t.n))
+                rng.shuffle(perm)
+                census_agrees(relabel(t, perm), 0, min(9 if t.n <= 13 else 5, t.n))
+                length += 1
+
+    def test_nested_lex_sums(self):
+        for t in NESTED:
+            hi = next((k - 1 for k in range(t.n + 1) if comb(t.n, k) > 3000), t.n)
+            census_agrees(t, 0, hi)
+            census_agrees(t, hi, hi)
+
+
 class TestProfileSequence:
     def test_c3_family_chain4(self):
         s = profile_sequence(family("c3", 4), 8)
@@ -210,6 +344,20 @@ class TestProfileSequence:
     def test_cycle_alone(self):
         s = profile_sequence(cycle3(), 3)
         assert list(s.values) == [1, 1, 1, 1]
+
+    def test_negative_sizes_out_of_range(self):
+        spec = SumSpec(cycle3(), (UNBOUNDED,) * 3)
+        calls = [
+            lambda: profile_count(cycle3(), -1),
+            lambda: profile_sequence(cycle3(), -1),
+            lambda: sum_profile(spec, -1),
+            lambda: sum_profile_sequence(spec, -1),
+            lambda: stabilized_profile(lambda size: family("c3", size), -1),
+        ]
+        for call in calls:
+            with pytest.raises(TournamentError) as e:
+                call()
+            assert e.value.code == "OUT_OF_RANGE"
 
     def test_relabel_invariant(self, rng):
         for _ in range(20):
