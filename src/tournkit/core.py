@@ -48,13 +48,10 @@ class Tournament:
                 raise TournamentError("NOT_A_TOURNAMENT", f"vertex {i}: some pair is missing or doubled")
 
     def _transpose(self):
-        cols = [0] * self.n
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return tuple(cols)
+        # character j of each reversed binary row is its bit j; zip reads
+        # column j from the last row to the first, most significant bit first
+        rows = [format(r, f"0{self.n}b")[::-1] for r in reversed(self.rows)]
+        return tuple(int("".join(col), 2) for col in zip(*rows))
 
     def edge(self, i: int, j: int) -> bool:
         """True when i beats j."""

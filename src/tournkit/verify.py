@@ -8,6 +8,8 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
+from math import factorial, gcd, prod
 from operator import or_
 
 from . import tfile
@@ -57,7 +59,7 @@ from .formulas import (
     V_LOWER,
     formula_value,
 )
-from .profiles import stabilized_profile
+from .profiles import _fixed_vectors, stabilized_profile
 
 
 @dataclass
@@ -212,6 +214,8 @@ def _check_one_decomposition(t: Tournament, report: SuiteReport, with_oracle: bo
 
 def check_decomposition(n_max: int, samples_per_size: int = 25, seed: int = 20260814) -> SuiteReport:
     """Decomposition laws, exhaustive to min(n_max, 6) and sampled above."""
+    if n_max < 0:
+        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
     report = SuiteReport("decomposition", {"n_max": n_max, "samples_per_size": samples_per_size}, seed=seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -278,6 +282,8 @@ def _own_family_truncation(name: str) -> tuple[int, bool]:
 
 def check_incomparability(host_size: int = 14) -> SuiteReport:
     """Each witness embeds in its own family and in no truncation of the others."""
+    if host_size < 0:
+        raise TournamentError("OUT_OF_RANGE", "host size must be non-negative")
     report = SuiteReport("incomparability", {"host_size": host_size})
     t0 = time.perf_counter()
     for name in WITNESS_NAMES:
@@ -312,6 +318,8 @@ def _max_length_within(kind: str, host_size: int) -> int:
 
 def check_duality(max_chain: int = 5) -> SuiteReport:
     """Dual family members against the reversed-chain constructions."""
+    if max_chain < 0:
+        raise TournamentError("OUT_OF_RANGE", "max chain must be non-negative")
     report = SuiteReport("duality", {"max_chain": max_chain})
     t0 = time.perf_counter()
     for length in range(2, max_chain + 1):
@@ -335,15 +343,85 @@ def check_duality(max_chain: int = 5) -> SuiteReport:
     return report
 
 
+def _class_count(n: int) -> int:
+    """Tournaments on n vertices up to isomorphism (OEIS A000568), by Davis's
+    formula (Bull. Math. Biophys. 16, 1954).
+
+    Burnside over the n! relabelings: a permutation with an even cycle
+    reverses the pair of opposite vertices on it and fixes no tournament.
+    One of odd cycle type lambda fixes 2^e of them, one orientation per orbit
+    on pairs: (l - 1)/2 orbits inside each cycle of length l and gcd(l, l')
+    between two cycles.  Its conjugacy class holds n!/z_lambda permutations,
+    z_lambda = prod over part sizes p of p^m_p * m_p! for multiplicities m_p.
+    """
+    def odd_partitions(total, largest):
+        if not total:
+            yield ()
+        for part in range(min(total, largest), 0, -1):
+            if part % 2:
+                yield from ((part, *rest) for rest in odd_partitions(total - part, part))
+
+    fixed = 0
+    for parts in odd_partitions(n, n):
+        exponent = sum((p - 1) // 2 for p in parts) + sum(gcd(a, b) for a, b in combinations(parts, 2))
+        z = prod(parts) * prod(factorial(parts.count(p)) for p in set(parts))
+        fixed += (factorial(n) // z) << exponent
+    return fixed // factorial(n)
+
+
+def _weight_orbits(q: Tournament, high: int) -> dict[int, int]:
+    """orb(Q, s) for s in q.n..high: the Aut(Q)-orbits of the vectors of q.n
+    positive block weights with total s, by Burnside over Aut(Q)."""
+    group = _group([g for g, _ in _search(q.rows)[3]], q.n)
+    fixed = {}
+    for perm in group:
+        for total, ways in _fixed_vectors(perm, [((1, high),) * q.n], q.n, high).items():
+            fixed[total] = fixed.get(total, 0) + ways
+    return {total: ways // len(group) for total, ways in fixed.items()}
+
+
+def _avoiders(members, size_bound: int):
+    """For each size 1..size_bound, the classes that embed no member, sorted by code.
+
+    Each level holds the canonical-augmentation children of the level below
+    that embed no member.  Every class is a child of exactly one class of
+    one vertex fewer, an induced subtournament of it, and one that embeds no
+    member has no such subtournament, so no avoider is lost by growing only
+    from avoiders."""
+    level = [Tournament(0, (), validate=False)]
+    for s in range(1, size_bound + 1):
+        codes = sorted(code for parent in level for code in _augmentations(parent))
+        level = [t for t in (tournament_from_code(CanonicalCode(s, bits)) for bits in codes)
+                 if not any(embeds(m, t) for m in members)]
+        yield level
+
+
 def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
     """Scan all small acyclically indecomposable tournaments for family avoidance.
 
     For each size s <= size_bound, lists the representatives that contain no
     checked family member over a chain of length n; reports the smallest s
     whose list is empty.
+
+    No level of the census above size_bound - 1 is built:
+
+    - The avoiders come from ``_avoiders``, which grows only classes that
+      embed no member.  Avoiding is hereditary and canonical augmentation
+      makes each class once, from its canonical parent, so each level is the
+      list, in code order, that filtering ``enumerate_tournaments(s)`` gives.
+    - The candidates, the acyclically indecomposable (AI) classes on s
+      vertices, are counted.  Every tournament is, in exactly one way,
+      Q[chains] with Q its acyclic quotient, which is AI, so its classes on
+      s vertices are, over the AI classes Q on k <= s vertices, the
+      Aut(Q)-orbits of k positive chain lengths with total s.  Those with
+      k = s are the AI classes themselves, so their number is
+      ``_class_count(s)`` minus, over the AI classes Q with k < s, the orbit
+      counts of ``_weight_orbits``.
     """
     if n not in (2, 3):
         raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
+    if size_bound < 0:
+        raise TournamentError("OUT_OF_RANGE", "size bound must be non-negative")
     if size_bound > 8:
         raise TournamentError("TOO_LARGE", "size bound limited to 8",
                               {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})
@@ -360,18 +438,24 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
             members.append(m)
     members.sort(key=lambda m: (m.n, canonical_form(m).bits))
 
-    def survives(t: Tournament) -> bool:
-        return not any(m.n <= t.n and embeds(m, t) for m in members)
+    # reducible[s]: the classes on s vertices whose acyclic quotient is smaller
+    reducible = [0] * (size_bound + 1)
+    for k in range(1, size_bound):
+        for q in enumerate_tournaments(k):
+            if is_acyclically_indecomposable(q):
+                for total, orbits in _weight_orbits(q, size_bound).items():
+                    if total > k:
+                        reducible[total] += orbits
 
     smallest_empty = None
-    for s in range(1, size_bound + 1):
-        reps = [t for t in enumerate_tournaments(s) if is_acyclically_indecomposable(t)]
-        avoiders = [t for t in reps if survives(t)]
-        verified = all(is_acyclically_indecomposable(t) for t in avoiders)
+    for s, level in enumerate(_avoiders(members, size_bound), start=1):
+        candidates = _class_count(s) - reducible[s]
+        avoiders = [t for t in level if is_acyclically_indecomposable(t)]
+        # the grown avoiders must fit among the counted candidates
         report.add(
             f"size_{s}",
-            verified,
-            candidates=len(reps),
+            len(avoiders) <= candidates,
+            candidates=candidates,
             avoiders=[tfile.dumps(t).splitlines() for t in avoiders],
         )
         if not avoiders and smallest_empty is None:

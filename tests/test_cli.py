@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -229,6 +230,28 @@ class TestVerifyCommand:
         code2, out2, _ = run(capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "5")
         assert code1 == code2 == 0
         assert out1 == out2
+
+    @pytest.mark.parametrize("n, digest", [
+        ("2", "d0694e2220c985c96b203b68cfb5624f702ae49e1710cfe5f22c79d426ad453c"),
+        ("3", "c239e032a51138edb9ff3aeafdc34950eb0609053401fd79119affe2c381a961"),
+    ])
+    def test_compactness_stdout_pinned(self, capsys, n, digest):
+        code, out, _ = run(capsys, "verify", "--suite", "compactness", "--n", n, "--size-bound", "8")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("suite, flag", [
+        ("compactness", "--size-bound"),
+        ("decomposition", "--n-max"),
+        ("duality", "--max-chain"),
+        ("incomparability", "--host-size"),
+        ("formulas", "--n-max"),
+    ])
+    def test_negative_bound_exits_2(self, capsys, suite, flag):
+        code, out, err = run(capsys, "verify", "--suite", suite, flag, "-1")
+        assert code == 2
+        assert out == ""
+        assert "OUT_OF_RANGE" in err
 
     @pytest.mark.parametrize(
         "suite, check, argv, expect",

@@ -154,6 +154,30 @@ class TestDualRestrict:
         assert e.value.code == "OUT_OF_RANGE"
 
 
+def oracle_transpose(t: Tournament) -> tuple[int, ...]:
+    """The edge-by-edge loop that string columns replaced."""
+    cols = [0] * t.n
+    for i, r in enumerate(t.rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return tuple(cols)
+
+
+class TestTranspose:
+    def test_matches_edge_loop_on_every_small_class(self):
+        for n in range(7):
+            for t in enumerate_tournaments(n):
+                assert t._transpose() == oracle_transpose(t)
+
+    @pytest.mark.parametrize("n", [0, 1, 40, 200])
+    def test_matches_edge_loop_on_random(self, rng, n):
+        for _ in range(3):
+            t = random_tournament(rng, n)
+            assert t._transpose() == oracle_transpose(t)
+
+
 class TestLexSum:
     def test_chains_compose(self):
         t = lex_sum(chain(2), [chain(2), chain(3)])

@@ -1,12 +1,16 @@
 import functools
 import json
+import time
 
 import pytest
 
-from tournkit import core, decomp, verify
-from tournkit.core import CanonicalCode, Tournament, TournamentError, canonical_form, tournament_from_code
+from tournkit import core, decomp, tfile, verify
+from tournkit.core import CanonicalCode, Tournament, TournamentError, canonical_form, embeds, tournament_from_code
+from tournkit.decomp import is_acyclically_indecomposable
+from tournkit.families import KINDS, checked_family
 from tournkit.tfile import loads
 from tournkit.verify import (
+    SuiteReport,
     check_compactness,
     check_decomposition,
     check_duality,
@@ -34,6 +38,49 @@ def oracle_census(n):
             rows.append(mask)
             seen.add(core._canonical_bits(tuple(rows)))
     return [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(seen)]
+
+
+def oracle_check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
+    """The full scan that hereditary growth and counted candidates replaced:
+    every class up to size_bound is built, and every acyclically
+    indecomposable one is tested against every member."""
+    if n not in (2, 3):
+        raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
+    if size_bound > 8:
+        raise TournamentError("TOO_LARGE", "size bound limited to 8",
+                              {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})
+    report = SuiteReport("compactness", {"n": n, "size_bound": size_bound})
+    t0 = time.perf_counter()
+    members = []
+    seen_codes = set()
+    for kind in KINDS:
+        m = checked_family(kind, n)
+        code = canonical_form(m)
+        report.add(f"member_{kind}", True, size=m.n)
+        if code.bits not in seen_codes:
+            seen_codes.add(code.bits)
+            members.append(m)
+    members.sort(key=lambda m: (m.n, canonical_form(m).bits))
+
+    def survives(t: Tournament) -> bool:
+        return not any(m.n <= t.n and embeds(m, t) for m in members)
+
+    smallest_empty = None
+    for s in range(1, size_bound + 1):
+        reps = [t for t in enumerate_tournaments(s) if is_acyclically_indecomposable(t)]
+        avoiders = [t for t in reps if survives(t)]
+        verified = all(is_acyclically_indecomposable(t) for t in avoiders)
+        report.add(
+            f"size_{s}",
+            verified,
+            candidates=len(reps),
+            avoiders=[tfile.dumps(t).splitlines() for t in avoiders],
+        )
+        if not avoiders and smallest_empty is None:
+            smallest_empty = s
+    report.add("smallest_empty_size", True, value=smallest_empty if smallest_empty is not None else "NOT_REACHED")
+    report.elapsed = time.perf_counter() - t0
+    return report
 
 
 class TestEnumeration:
@@ -185,6 +232,60 @@ class TestCompactnessSuite:
             check_compactness(4, 5)
         with pytest.raises(TournamentError):
             check_compactness(2, 9)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_full_scan(self, n):
+        for size_bound in range(9):
+            assert check_compactness(n, size_bound).to_json() == oracle_check_compactness(n, size_bound).to_json()
+
+    def test_builds_no_census_level_at_the_bound(self, monkeypatch):
+        monkeypatch.setattr(verify, "_REPS", {})
+        assert check_compactness(3, 8).passed
+        assert max(verify._REPS) == 7
+
+    def test_hereditary_growth_keeps_every_avoider(self):
+        members = [checked_family(kind, 3) for kind in KINDS]
+        levels = list(verify._avoiders(members, 8))
+        assert [len(level) for level in levels] == [1, 1, 2, 4, 10, 36, 143, 576]
+        for s, level in enumerate(levels, start=1):
+            every = [t for t in enumerate_tournaments(s) if not any(embeds(m, t) for m in members)]
+            assert [t.rows for t in level] == [t.rows for t in every]
+
+
+A000568 = (1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056)
+
+
+class TestClassCounts:
+    def test_davis_formula_is_a000568(self):
+        assert tuple(verify._class_count(n) for n in range(11)) == A000568
+
+    def test_davis_formula_matches_census(self):
+        for n in range(9):
+            assert verify._class_count(n) == len(enumerate_tournaments(n))
+
+    def test_quotient_orbits_count_every_class(self):
+        # each class on s vertices is Q[chains] for exactly one acyclically
+        # indecomposable Q on k <= s vertices and one Aut(Q)-orbit of lengths
+        counts = [0] * 9
+        for k in range(9):
+            for q in enumerate_tournaments(k):
+                if is_acyclically_indecomposable(q):
+                    for total, orbits in verify._weight_orbits(q, 8).items():
+                        counts[total] += orbits
+        assert counts == [len(enumerate_tournaments(s)) for s in range(9)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_compactness(2, -1),
+    lambda: check_decomposition(-1),
+    lambda: check_duality(-1),
+    lambda: check_incomparability(-1),
+    lambda: check_profile_formulas(-1),
+], ids=["compactness", "decomposition", "duality", "incomparability", "formulas"])
+def test_negative_bound_out_of_range(call):
+    with pytest.raises(TournamentError) as e:
+        call()
+    assert e.value.code == "OUT_OF_RANGE"
 
 
 class TestReportShape:
