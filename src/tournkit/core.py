@@ -397,15 +397,11 @@ def _search(rows: tuple[int, ...]):
     return code, first_order, best_order, gens
 
 
-def _canonical_bits(rows: tuple[int, ...]) -> int:
-    """Minimal row-major upper-triangle code over all relabelings, uncached."""
-    return _search(rows)[0]
-
-
 def _cached_bits(rows: tuple[int, ...]) -> int:
-    """``_canonical_bits`` through ``_CANON_CACHE``, keyed by the rows tuple."""
+    """Minimal row-major upper-triangle code over all relabelings, through
+    ``_CANON_CACHE``, keyed by the rows tuple."""
     if rows not in _CANON_CACHE:
-        _CANON_CACHE[rows] = _canonical_bits(rows)
+        _CANON_CACHE[rows] = _search(rows)[0]
     return _CANON_CACHE[rows]
 
 

@@ -150,27 +150,33 @@ def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
         support = tuple(v for i, v in enumerate(live) if subset >> i & 1)
         blocks, q = _acyclic_blocks(spec.index, support)
         code, _, order, gens = _search(q.rows)
-        group = _group([g for g, _ in gens], q.n)
-        perms, boxes = classes.setdefault((q.n, code), ([], set()))
-        if not perms:
+        if (q.n, code) not in classes:
             position = {v: i for i, v in enumerate(order)}
-            perms += [tuple(position[g[v]] for v in order) for g in group]
+            group = _group([g for g, _ in gens], q.n)
+            classes[q.n, code] = [tuple(position[g[v]] for v in order) for g in group], set()
         # each block's least and most total; no size above high needs more
         bounds = [(len(b), min(high, sum(high if spec.caps[v] is UNBOUNDED else spec.caps[v] for v in b)))
                   for b in blocks]
-        boxes.update(tuple(bounds[g[v]] for v in order) for g in group)
+        classes[q.n, code][1].add(tuple(bounds[v] for v in order))
     found = {}
     for perms, boxes in classes.values():
-        # a box inside another adds nothing to the union
+        # the union is closed under Aut(Q); a box inside another adds nothing to it
+        boxes = {tuple(box[i] for i in perm) for box in boxes for perm in perms}
         boxes = [a for a in boxes
                  if not any(a != b and all(bl <= al and ah <= bh for (al, ah), (bl, bh) in zip(a, b)) for b in boxes)]
-        orbits = {}
-        for perm in perms:
-            for total, ways in _fixed_vectors(perm, boxes, low, high).items():
-                orbits[total] = orbits.get(total, 0) + ways
-        for total, ways in orbits.items():
-            found[total] = found.get(total, 0) + ways // len(perms)
+        for total, orbits in _orbit_counts(perms, boxes, low, high).items():
+            found[total] = found.get(total, 0) + orbits
     return tuple(found.get(n, 0) if n else 1 for n in sizes)
+
+
+def _orbit_counts(perms, boxes, low: int, high: int) -> dict[int, int]:
+    """Orbits of the group perms on the union of boxes, which it maps onto
+    itself, by total in low..high: Burnside's mean of the vectors each fixes."""
+    fixed = {}
+    for perm in perms:
+        for total, ways in _fixed_vectors(perm, boxes, low, high).items():
+            fixed[total] = fixed.get(total, 0) + ways
+    return {total: ways // len(perms) for total, ways in fixed.items()}
 
 
 def _fixed_vectors(perm, boxes, low: int, high: int) -> dict[int, int]:

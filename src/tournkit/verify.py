@@ -25,7 +25,6 @@ from .core import (
     canonical_form,
     dual,
     embeds,
-    is_acyclic,
     is_isomorphic,
     restrict,
     tournament_from_code,
@@ -37,7 +36,6 @@ from .decomp import (
     _subset_code_table,
     acyclic_components,
     is_acyclically_indecomposable,
-    is_autonomous,
     reconstruct,
 )
 from .families import (
@@ -59,7 +57,7 @@ from .formulas import (
     V_LOWER,
     formula_value,
 )
-from .profiles import _fixed_vectors, stabilized_profile
+from .profiles import _orbit_counts, stabilized_profile
 
 
 @dataclass
@@ -108,29 +106,34 @@ _REPS: dict[int, list[Tournament]] = {}
 def enumerate_tournaments(n: int) -> list[Tournament]:
     """Canonical representatives of all tournaments on n vertices, sorted by code.
 
-    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
-    1998) of the (n-1)-vertex representatives P: a new vertex w with
-    out-neighbours ``mask`` is kept only if (1) ``mask`` is least in its orbit
-    under Aut(P), (2) w maximises the vertex invariant (score, number of
-    3-cycles through the vertex) and (3) w lies in the Aut(child) orbit of the
-    maximising vertex placed first by the child's canonical labeling.  Each
-    class then comes out once, with no dedupe set and no ``_CANON_CACHE`` use.
+    ``_grow`` of the (n-1)-vertex representatives P, from the empty
+    tournament up, by canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", 1998): a new vertex w with out-neighbours
+    ``mask`` is kept only if (1) ``mask`` is least in its orbit under Aut(P),
+    (2) w maximises the vertex invariant (score, number of 3-cycles through
+    the vertex) and (3) w lies in the Aut(child) orbit of the maximising
+    vertex placed first by the child's canonical labeling.  Each class then
+    comes out once, with no dedupe set and no ``_CANON_CACHE`` use.
     """
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
     if n > 9:
         raise TournamentError("TOO_LARGE", "enumeration limited to n <= 9",
                               {"consumed": n, "limit": 9, "where": "verify.enumerate_tournaments"})
-    if n in _REPS:
-        return list(_REPS[n])
-    if n <= 1:
-        reps = [Tournament(n, [0] * n, validate=False)]
-    else:
-        # codes have n(n-1)/2 <= 36 bits; an array holds them in 8 bytes each
-        codes = array("Q", (code for parent in enumerate_tournaments(n - 1) for code in _augmentations(parent)))
-        reps = [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(codes)]
-    _REPS[n] = reps
-    return list(reps)
+    if n not in _REPS:
+        _REPS[n] = _grow(enumerate_tournaments(n - 1), n) if n else [Tournament(0, (), validate=False)]
+    return list(_REPS[n])
+
+
+def _grow(level, n: int, keep=None) -> list[Tournament]:
+    """The n-vertex children of level kept by canonical augmentation and by
+    keep, sorted by code.  Each class is the child of one class on n - 1
+    vertices, so if keep is hereditary and level holds every class on n - 1
+    vertices that it keeps, the result holds every class on n that it keeps."""
+    # codes have n(n-1)/2 <= 36 bits; an array holds them in 8 bytes each
+    codes = array("Q", (code for parent in level for code in _augmentations(parent)))
+    grown = (tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(codes))
+    return [t for t in grown if keep is None or keep(t)]
 
 
 def _augmentations(parent: Tournament):
@@ -182,21 +185,11 @@ def _oracle_partition(t: Tournament) -> tuple[tuple[int, ...], ...]:
 def _check_one_decomposition(t: Tournament, report: SuiteReport, with_oracle: bool) -> bool:
     ok = True
     try:
+        # self-checks the partition, the block shapes and the quotient
         d = acyclic_components(t)
     except TournamentError as exc:
         report.counterexample("acyclic_components", t, error=str(exc))
         return False
-    covered = sorted(v for b in d.blocks for v in b)
-    if covered != list(range(t.n)):
-        report.counterexample("partition", t)
-        ok = False
-    for b in d.blocks:
-        if not (is_acyclic(restrict(t, b)) and is_autonomous(t, b)):
-            report.counterexample("block_shape", t, block=list(b))
-            ok = False
-    if not is_acyclically_indecomposable(d.quotient) and t.n > 0:
-        report.counterexample("quotient", t)
-        ok = False
     if t.n > 0 and not is_isomorphic(reconstruct(d, t), t):
         report.counterexample("reconstruction", t)
         ok = False
@@ -216,6 +209,8 @@ def check_decomposition(n_max: int, samples_per_size: int = 25, seed: int = 2026
     """Decomposition laws, exhaustive to min(n_max, 6) and sampled above."""
     if n_max < 0:
         raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
+    if samples_per_size < 0:
+        raise TournamentError("OUT_OF_RANGE", "samples_per_size must be non-negative")
     report = SuiteReport("decomposition", {"n_max": n_max, "samples_per_size": samples_per_size}, seed=seed)
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -369,33 +364,6 @@ def _class_count(n: int) -> int:
     return fixed // factorial(n)
 
 
-def _weight_orbits(q: Tournament, high: int) -> dict[int, int]:
-    """orb(Q, s) for s in q.n..high: the Aut(Q)-orbits of the vectors of q.n
-    positive block weights with total s, by Burnside over Aut(Q)."""
-    group = _group([g for g, _ in _search(q.rows)[3]], q.n)
-    fixed = {}
-    for perm in group:
-        for total, ways in _fixed_vectors(perm, [((1, high),) * q.n], q.n, high).items():
-            fixed[total] = fixed.get(total, 0) + ways
-    return {total: ways // len(group) for total, ways in fixed.items()}
-
-
-def _avoiders(members, size_bound: int):
-    """For each size 1..size_bound, the classes that embed no member, sorted by code.
-
-    Each level holds the canonical-augmentation children of the level below
-    that embed no member.  Every class is a child of exactly one class of
-    one vertex fewer, an induced subtournament of it, and one that embeds no
-    member has no such subtournament, so no avoider is lost by growing only
-    from avoiders."""
-    level = [Tournament(0, (), validate=False)]
-    for s in range(1, size_bound + 1):
-        codes = sorted(code for parent in level for code in _augmentations(parent))
-        level = [t for t in (tournament_from_code(CanonicalCode(s, bits)) for bits in codes)
-                 if not any(embeds(m, t) for m in members)]
-        yield level
-
-
 def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
     """Scan all small acyclically indecomposable tournaments for family avoidance.
 
@@ -405,10 +373,11 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
 
     No level of the census above size_bound - 1 is built:
 
-    - The avoiders come from ``_avoiders``, which grows only classes that
-      embed no member.  Avoiding is hereditary and canonical augmentation
-      makes each class once, from its canonical parent, so each level is the
-      list, in code order, that filtering ``enumerate_tournaments(s)`` gives.
+    - The avoiders come from ``_grow``, which keeps the children of the
+      avoiders one size down that embed no member.  Avoiding is hereditary
+      and canonical augmentation makes each class once, from its canonical
+      parent, so each level is the list, in code order, that filtering
+      ``enumerate_tournaments(s)`` gives.
     - The candidates, the acyclically indecomposable (AI) classes on s
       vertices, are counted.  Every tournament is, in exactly one way,
       Q[chains] with Q its acyclic quotient, which is AI, so its classes on
@@ -416,7 +385,7 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
       Aut(Q)-orbits of k positive chain lengths with total s.  Those with
       k = s are the AI classes themselves, so their number is
       ``_class_count(s)`` minus, over the AI classes Q with k < s, the orbit
-      counts of ``_weight_orbits``.
+      counts of ``_orbit_counts``.
     """
     if n not in (2, 3):
         raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
@@ -443,12 +412,14 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
     for k in range(1, size_bound):
         for q in enumerate_tournaments(k):
             if is_acyclically_indecomposable(q):
-                for total, orbits in _weight_orbits(q, size_bound).items():
-                    if total > k:
-                        reducible[total] += orbits
+                perms = _group([g for g, _ in _search(q.rows)[3]], k)
+                for total, orbits in _orbit_counts(perms, [((1, size_bound),) * k], k + 1, size_bound).items():
+                    reducible[total] += orbits
 
     smallest_empty = None
-    for s, level in enumerate(_avoiders(members, size_bound), start=1):
+    level = enumerate_tournaments(0)
+    for s in range(1, size_bound + 1):
+        level = _grow(level, s, lambda t: not any(embeds(m, t) for m in members))
         candidates = _class_count(s) - reducible[s]
         avoiders = [t for t in level if is_acyclically_indecomposable(t)]
         # the grown avoiders must fit among the counted candidates

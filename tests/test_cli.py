@@ -231,12 +231,19 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    @pytest.mark.parametrize("n, digest", [
-        ("2", "d0694e2220c985c96b203b68cfb5624f702ae49e1710cfe5f22c79d426ad453c"),
-        ("3", "c239e032a51138edb9ff3aeafdc34950eb0609053401fd79119affe2c381a961"),
-    ])
-    def test_compactness_stdout_pinned(self, capsys, n, digest):
-        code, out, _ = run(capsys, "verify", "--suite", "compactness", "--n", n, "--size-bound", "8")
+    @pytest.mark.parametrize("argv, digest", [
+        (["decomposition", "--n-max", "6"], "64a13094c50ced7f0540de2ceb6055b3a92027e6c2a5ec34aec0f8f1b0d3d670"),
+        (["formulas", "--n-max", "9"], "abfa762a53f072ca2fba00ce4bd7abd6e6f48fdece14f7edd0ad0f6a600f0fe3"),
+        (["incomparability", "--host-size", "14"], "914f8aa104e928f9f4f1c7e92da5174dcf1e12a4b21cd0d99a44b53cdfefd567"),
+        (["duality", "--max-chain", "5"], "bec4b167ea4846623d945ca1f7d9eed10236a0599ef8b224ff73e7c7d5cb2707"),
+        (["compactness", "--n", "2", "--size-bound", "8"],
+         "d0694e2220c985c96b203b68cfb5624f702ae49e1710cfe5f22c79d426ad453c"),
+        (["compactness", "--n", "3", "--size-bound", "8"],
+         "c239e032a51138edb9ff3aeafdc34950eb0609053401fd79119affe2c381a961"),
+    ], ids=["decomposition", "formulas", "incomparability", "duality", "compactness-n2", "compactness-n3"])
+    def test_suite_stdout_pinned(self, capsys, argv, digest):
+        # every suite's report at its acceptance parameters, byte for byte
+        code, out, _ = run(capsys, "verify", "--suite", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -4,8 +4,16 @@ import time
 
 import pytest
 
-from tournkit import core, decomp, tfile, verify
-from tournkit.core import CanonicalCode, Tournament, TournamentError, canonical_form, embeds, tournament_from_code
+from tournkit import core, decomp, profiles, tfile, verify
+from tournkit.core import (
+    CanonicalCode,
+    Tournament,
+    TournamentError,
+    canonical_form,
+    embeds,
+    is_acyclic,
+    tournament_from_code,
+)
 from tournkit.decomp import is_acyclically_indecomposable
 from tournkit.families import KINDS, checked_family
 from tournkit.tfile import loads
@@ -36,7 +44,7 @@ def oracle_census(n):
                 if not (mask >> j) & 1:
                     rows[j] |= 1 << (n - 1)
             rows.append(mask)
-            seen.add(core._canonical_bits(tuple(rows)))
+            seen.add(core._search(tuple(rows))[0])
     return [tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(seen)]
 
 
@@ -120,7 +128,7 @@ class TestEnumeration:
         def recompute(rows):
             raise AssertionError("canonical code recomputed")
 
-        monkeypatch.setattr(core, "_canonical_bits", recompute)
+        monkeypatch.setattr(core, "_search", recompute)
         assert canonical_form(t) == code
 
     def test_too_large(self):
@@ -159,6 +167,22 @@ class TestDecompositionSuite:
         monkeypatch.setattr(decomp, "_strong_tree", lambda t: built.append(t) or tree(t))
         assert check_decomposition(6).passed
         assert len(built) == 76
+
+    def test_catches_a_broken_law(self, monkeypatch):
+        # a tree that calls the 3-cycle one LINEAR run gives a block that is
+        # not acyclic, which acyclic_components refuses
+        tree = decomp._strong_tree
+
+        def broken(t):
+            if t.n == 3 and not is_acyclic(t):
+                return {0b111: (decomp.LINEAR, [0b001, 0b010, 0b100])}
+            return tree(t)
+
+        monkeypatch.setattr(decomp, "_strong_tree", broken)
+        rep = check_decomposition(3)
+        assert not rep.passed
+        assert [(c["check"], c["error"]) for c in rep.counterexamples] == [
+            ("acyclic_components", "INTERNAL_INCONSISTENCY: block (0, 1, 2) is not acyclic")]
 
     def test_sampled_sizes_recorded(self):
         rep = check_decomposition(8, samples_per_size=5)
@@ -245,7 +269,10 @@ class TestCompactnessSuite:
 
     def test_hereditary_growth_keeps_every_avoider(self):
         members = [checked_family(kind, 3) for kind in KINDS]
-        levels = list(verify._avoiders(members, 8))
+        levels = [enumerate_tournaments(0)]
+        for s in range(1, 9):
+            levels.append(verify._grow(levels[-1], s, lambda t: not any(embeds(m, t) for m in members)))
+        levels = levels[1:]
         assert [len(level) for level in levels] == [1, 1, 2, 4, 10, 36, 143, 576]
         for s, level in enumerate(levels, start=1):
             every = [t for t in enumerate_tournaments(s) if not any(embeds(m, t) for m in members)]
@@ -270,7 +297,8 @@ class TestClassCounts:
         for k in range(9):
             for q in enumerate_tournaments(k):
                 if is_acyclically_indecomposable(q):
-                    for total, orbits in verify._weight_orbits(q, 8).items():
+                    perms = core._group([g for g, _ in core._search(q.rows)[3]], k)
+                    for total, orbits in profiles._orbit_counts(perms, [((1, 8),) * k], k, 8).items():
                         counts[total] += orbits
         assert counts == [len(enumerate_tournaments(s)) for s in range(9)]
 
@@ -278,10 +306,11 @@ class TestClassCounts:
 @pytest.mark.parametrize("call", [
     lambda: check_compactness(2, -1),
     lambda: check_decomposition(-1),
+    lambda: check_decomposition(7, samples_per_size=-3),
     lambda: check_duality(-1),
     lambda: check_incomparability(-1),
     lambda: check_profile_formulas(-1),
-], ids=["compactness", "decomposition", "duality", "incomparability", "formulas"])
+], ids=["compactness", "decomposition", "decomposition_samples", "duality", "incomparability", "formulas"])
 def test_negative_bound_out_of_range(call):
     with pytest.raises(TournamentError) as e:
         call()
