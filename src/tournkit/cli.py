@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from array import array
 
 from . import tfile
 from .core import ChainSpec, Tournament, TournamentError, find_embedding
@@ -17,11 +19,13 @@ from .verify import (
     check_duality,
     check_incomparability,
     check_profile_formulas,
-    enumerate_tournaments,
+    _census,
+    _decode,
 )
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+CLOSED_STDOUT_EXIT = 141  # 128 + SIGPIPE, what a shell shows for a writer SIGPIPE ended
 
 
 def _emit(payload):
@@ -125,16 +129,20 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    reps = enumerate_tournaments(args.n)
+    n = args.n
+    codes = _census(n)[n]
     if args.filter == "acyclically-indecomposable":
-        reps = [t for t in reps if is_acyclically_indecomposable(t)]
-    _emit(
-        {
-            "n": args.n,
-            "count": len(reps),
-            "tournaments": [_matrix(t) for t in reps],
-        }
-    )
+        codes = array("Q", (bits for bits in codes if is_acyclically_indecomposable(_decode(n, bits))))
+    # the document json.dump(..., sort_keys=True, indent=2) would write, one
+    # tournament at a time, so no level of tournaments is ever held
+    out = sys.stdout
+    out.write(f'{{\n  "count": {len(codes)},\n  "n": {n},\n  "tournaments": [')
+    sep = ""
+    for bits in codes:
+        rows = ",\n      ".join(f'"{row}"' for row in _matrix(_decode(n, bits)))
+        out.write(f"{sep}\n    [\n      {rows}\n    ]" if rows else f"{sep}\n    []")
+        sep = ","
+    out.write("\n  ]\n}\n" if codes else "]\n}\n")
     return 0
 
 
@@ -213,7 +221,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and point stdout at /dev/null so
+        # that flushing what is still buffered at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT_EXIT
     except (TournamentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT

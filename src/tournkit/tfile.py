@@ -6,10 +6,9 @@ from .core import Tournament, TournamentError
 
 
 def dumps(t: Tournament) -> str:
-    lines = [str(t.n)]
-    for i in range(t.n):
-        lines.append("".join("1" if t.edge(i, j) else "0" for j in range(t.n)))
-    return "\n".join(lines) + "\n"
+    # character j of row i is bit j of rows[i]: its binary digits reversed
+    rows = (format(r, f"0{t.n}b")[::-1] for r in t.rows)
+    return "\n".join([str(t.n), *rows]) + "\n"
 
 
 def loads(text: str) -> Tournament:

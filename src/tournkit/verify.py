@@ -100,40 +100,72 @@ class SuiteReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# levels 0..8 hold 7,412 classes in all, level 9 alone 191,536
 _REPS: dict[int, list[Tournament]] = {}
+_REPS_MAX = 8
 
 
 def enumerate_tournaments(n: int) -> list[Tournament]:
     """Canonical representatives of all tournaments on n vertices, sorted by code.
 
-    ``_grow`` of the (n-1)-vertex representatives P, from the empty
-    tournament up, by canonical augmentation (McKay, "Isomorph-free
-    exhaustive generation", 1998): a new vertex w with out-neighbours
-    ``mask`` is kept only if (1) ``mask`` is least in its orbit under Aut(P),
-    (2) w maximises the vertex invariant (score, number of 3-cycles through
-    the vertex) and (3) w lies in the Aut(child) orbit of the maximising
-    vertex placed first by the child's canonical labeling.  Each class then
-    comes out once, with no dedupe set and no ``_CANON_CACHE`` use.
+    Level n of ``_census``, decoded.  Levels up to 8 are cached in ``_REPS``
+    for the life of the process; level 9 is not, so each call for it walks
+    the census again and only the caller holds its 191,536 tournaments.
     """
+    if n in _REPS:
+        return list(_REPS[n])
+    reps = [_decode(n, bits) for bits in _census(n)[n]]
+    if n <= _REPS_MAX:
+        _REPS[n] = reps
+        return list(reps)
+    return reps
+
+
+def _census(n: int, keep=None) -> list[array]:
+    """The sorted canonical codes of every level 0..n of the census.
+
+    A depth-first walk of the canonical-augmentation tree (McKay,
+    "Isomorph-free exhaustive generation", 1998) from the empty tournament:
+    the children of a parent P are its one-vertex extensions by a new vertex
+    w with out-neighbours ``mask``, kept only if (1) ``mask`` is least in its
+    orbit under Aut(P), (2) w maximises the vertex invariant (score, number
+    of 3-cycles through the vertex) and (3) w lies in the Aut(child) orbit of
+    the maximising vertex placed first by the child's canonical labeling.
+    Each class then comes out once, as the child of one class, with no
+    dedupe set and no ``_CANON_CACHE`` use.
+
+    The walk descends only into the children that ``keep`` accepts, so with
+    a hereditary ``keep`` level s holds exactly the classes on s vertices
+    that it accepts (level 0, the empty tournament, is not tested).  It holds
+    a stack of pending parents and one array of 8-byte codes per level; a
+    child is decoded only as a parent or as the argument to ``keep``.
+    """
+    # the limits of enumerate_tournaments, which the errors name; the CLI
+    # walks here directly
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
     if n > 9:
         raise TournamentError("TOO_LARGE", "enumeration limited to n <= 9",
                               {"consumed": n, "limit": 9, "where": "verify.enumerate_tournaments"})
-    if n not in _REPS:
-        _REPS[n] = _grow(enumerate_tournaments(n - 1), n) if n else [Tournament(0, (), validate=False)]
-    return list(_REPS[n])
+    # codes have n(n-1)/2 <= 36 bits
+    levels = [array("Q", [0])] + [array("Q") for _ in range(n)]
+    stack = [Tournament(0, (), validate=False)] if n else []
+    while stack:
+        parent = stack.pop()
+        s = parent.n + 1
+        for bits in _augmentations(parent):
+            if keep is not None or s < n:
+                child = _decode(s, bits)
+                if keep is not None and not keep(child):
+                    continue
+                if s < n:
+                    stack.append(child)
+            levels[s].append(bits)
+    return [array("Q", sorted(level)) for level in levels]
 
 
-def _grow(level, n: int, keep=None) -> list[Tournament]:
-    """The n-vertex children of level kept by canonical augmentation and by
-    keep, sorted by code.  Each class is the child of one class on n - 1
-    vertices, so if keep is hereditary and level holds every class on n - 1
-    vertices that it keeps, the result holds every class on n that it keeps."""
-    # codes have n(n-1)/2 <= 36 bits; an array holds them in 8 bytes each
-    codes = array("Q", (code for parent in level for code in _augmentations(parent)))
-    grown = (tournament_from_code(CanonicalCode(n, bits)) for bits in sorted(codes))
-    return [t for t in grown if keep is None or keep(t)]
+def _decode(n: int, bits: int) -> Tournament:
+    return tournament_from_code(CanonicalCode(n, bits))
 
 
 def _augmentations(parent: Tournament):
@@ -373,11 +405,11 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
 
     No level of the census above size_bound - 1 is built:
 
-    - The avoiders come from ``_grow``, which keeps the children of the
-      avoiders one size down that embed no member.  Avoiding is hereditary
-      and canonical augmentation makes each class once, from its canonical
-      parent, so each level is the list, in code order, that filtering
-      ``enumerate_tournaments(s)`` gives.
+    - The avoiders come from one depth-first walk of ``_census`` whose
+      ``keep`` embeds no member, so it descends only into avoiders.
+      Avoiding is hereditary and canonical augmentation makes each class
+      once, from its canonical parent, so each level is the list, in code
+      order, that filtering ``enumerate_tournaments(s)`` gives.
     - The candidates, the acyclically indecomposable (AI) classes on s
       vertices, are counted.  Every tournament is, in exactly one way,
       Q[chains] with Q its acyclic quotient, which is AI, so its classes on
@@ -417,10 +449,10 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
                     reducible[total] += orbits
 
     smallest_empty = None
-    level = enumerate_tournaments(0)
+    levels = _census(size_bound, lambda t: not any(embeds(m, t) for m in members))
     for s in range(1, size_bound + 1):
-        level = _grow(level, s, lambda t: not any(embeds(m, t) for m in members))
         candidates = _class_count(s) - reducible[s]
+        level = (_decode(s, bits) for bits in levels[s])
         avoiders = [t for t in level if is_acyclically_indecomposable(t)]
         # the grown avoiders must fit among the counted candidates
         report.add(

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,66 @@ class TestQueries:
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--filter", "acyclically-indecomposable")
         data = json.loads(out)
         assert data["count"] == 1
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--n", "0"], "bf45a9c5737e10913db816b4d5e0076e84bfb26ba2cb04025f7b63c8f71c33fb"),
+        (["--n", "1"], "89080066ec0eda1451a6669064cc6998ee78a05c1e433bb41d961dd2524c81f0"),
+        (["--n", "2"], "6dcab69aec35af8bc7a0b60b490c38821acc1c3f13a1597ee1afdb14474fad06"),
+        (["--n", "3"], "819a1490a68aa53801b654e30842fbd1c34643f6174386cae7103059e2eeebba"),
+        (["--n", "4"], "2ec94a433ef94b5251810a06d433befd336aa29468c3ead8b9a9609bb018b8dc"),
+        (["--n", "5"], "c34675a4261d3aa9eb57bab82f34bd97ae0dd48db5943288f63204713a604a61"),
+        (["--n", "6"], "9d0a0bb236db881daa59962a9ee0e7f0c45debc14c7e3361986db40c49b6de37"),
+        (["--n", "7"], "3152c241a3ea96dc08d5ba6c81f44e842457be76d608da4bcc98142f3db59ac5"),
+        (["--n", "2", "--filter", "acyclically-indecomposable"],
+         "5eee074b74581ec3633c1c796822681381916add51c8c62882cd308d2d9a4bfe"),
+        (["--n", "3", "--filter", "acyclically-indecomposable"],
+         "566c32cf6241d8fbb5219e3ad467a1735faf199bc87f3b3e1d44e339330f1e79"),
+        (["--n", "6", "--filter", "acyclically-indecomposable"],
+         "3e83ef0c3ef33bef17169f6519976418f63f4b77fc208eb5c37dbb5bdcbc7252"),
+    ], ids=[*(f"n{n}" for n in range(8)), "ai2", "ai3", "ai6"])
+    def test_enumerate_stdout_pinned(self, capsys, argv, digest):
+        # the bytes json.dump(..., sort_keys=True, indent=2) wrote when the
+        # whole document was built first; n = 0 lists one empty matrix and
+        # the filtered n = 2 an empty list (n = 8 is pinned by the memory test)
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_enumerate_streams_in_little_memory(self, monkeypatch):
+        # 0.65 MB traced at n = 8, against 5.3 MB when the tournaments and
+        # the document were held whole
+        digest = hashlib.sha256()
+
+        class Sink:
+            def write(self, text):
+                digest.update(text.encode())
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Sink())
+        tracemalloc.start()
+        try:
+            code = main(["enumerate", "--n", "8"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert digest.hexdigest() == "f2573d18589ede3c658c04a15a82b348a2f13378e2c62915929b9cbf22a6870c"
+        assert peak < 2 * 2**20
+
+    def test_closed_stdout_ends_quietly(self):
+        # the n = 8 document (1.2 MB) outgrows the pipe, so the writer meets
+        # the closed end
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, "-m", "tournkit", "enumerate", "--n", "8"],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(100).startswith(b'{\n  "count": 6880,')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == cli.CLOSED_STDOUT_EXIT
+        assert err == b""
 
 
 class TestVerifyCommand:

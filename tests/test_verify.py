@@ -108,6 +108,19 @@ class TestEnumeration:
             reps = enumerate_tournaments(n)
             assert {canonical_form(t) for t in reps} == codes
 
+    def test_census_levels_match_dedupe_census(self):
+        # one depth-first walk gives every level at once
+        levels = verify._census(7)
+        assert [list(level) for level in levels] == [[canonical_form(t).bits for t in oracle_census(n)]
+                                                     for n in range(8)]
+
+    def test_caches_no_level_above_the_bound(self, monkeypatch):
+        # _REPS keeps the levels up to _REPS_MAX only; a bound of 4 shows it cheaply
+        monkeypatch.setattr(verify, "_REPS", {})
+        monkeypatch.setattr(verify, "_REPS_MAX", 4)
+        assert [len(enumerate_tournaments(n)) for n in (5, 4, 5)] == [12, 4, 12]
+        assert list(verify._REPS) == [4]
+
     def test_reps_are_distinct(self):
         reps = enumerate_tournaments(6)
         assert len({canonical_form(t) for t in reps}) == len(reps)
@@ -268,15 +281,14 @@ class TestCompactnessSuite:
         assert max(verify._REPS) == 7
 
     def test_hereditary_growth_keeps_every_avoider(self):
+        # one walk under the compactness keep gives, at every level, the
+        # filtered census in code order
         members = [checked_family(kind, 3) for kind in KINDS]
-        levels = [enumerate_tournaments(0)]
-        for s in range(1, 9):
-            levels.append(verify._grow(levels[-1], s, lambda t: not any(embeds(m, t) for m in members)))
-        levels = levels[1:]
-        assert [len(level) for level in levels] == [1, 1, 2, 4, 10, 36, 143, 576]
-        for s, level in enumerate(levels, start=1):
-            every = [t for t in enumerate_tournaments(s) if not any(embeds(m, t) for m in members)]
-            assert [t.rows for t in level] == [t.rows for t in every]
+        levels = verify._census(8, lambda t: not any(embeds(m, t) for m in members))
+        assert [len(level) for level in levels] == [1, 1, 1, 2, 4, 10, 36, 143, 576]
+        for s, level in enumerate(levels):
+            every = [t for t in enumerate_tournaments(s) if s == 0 or not any(embeds(m, t) for m in members)]
+            assert list(level) == [canonical_form(t).bits for t in every]
 
 
 A000568 = (1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056)
