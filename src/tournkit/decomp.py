@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import or_
 
-from .core import Tournament, TournamentError, canonical_form, is_acyclic, lex_sum, restrict
+from .core import Tournament, TournamentError, canonical_form, lex_sum, restrict
 
 THREE_CYCLE = "three_cycle"
 DIAMOND = "diamond"
@@ -138,13 +138,16 @@ def _maximal_modules(t: Tournament, mask: int) -> list[int]:
     todo, parts = [mask ^ low], {}  # each part keyed by its least vertex
     while todo:
         part = todo.pop()
-        beaten = unbeaten = 0  # by some vertex of part
+        # the first member that some outside vertex z tells from the least
+        # member ends the scan: z beats one of the two, so it splits part;
+        # any splitter will do, as no split ever cuts a module
+        out = mask ^ part
+        first = rows[(part & -part).bit_length() - 1] & out
         for u in _bits(part):
-            beaten, unbeaten = beaten | rows[u], unbeaten | ~rows[u]
-        splitters = beaten & unbeaten & (mask ^ part)
-        if splitters:
-            row = rows[(splitters & -splitters).bit_length() - 1]
-            todo += (part & row, part & ~row)
+            if differ := rows[u] & out ^ first:
+                row = rows[(differ & -differ).bit_length() - 1]
+                todo += (part & row, part & ~row)
+                break
         else:
             parts[(part & -part).bit_length() - 1] = part
     reps, vrow = sum(1 << r for r in parts), rows[low.bit_length() - 1]
@@ -180,19 +183,32 @@ def acyclic_components(t: Tournament) -> Decomposition:
     An acyclic module of 2+ vertices is a run of consecutive leaf children of
     a LINEAR node of the strong-module tree: the blocks are the maximal runs
     and the other vertices alone, by least vertex, and the quotient takes one
-    vertex of each.  A failed self-check (partition, blocks acyclic and
-    autonomous, quotient acyclically indecomposable) is a bug and raises
-    INTERNAL_INCONSISTENCY."""
+    vertex of each.  A failed self-check is a bug and raises
+    INTERNAL_INCONSISTENCY.  Each law is checked on bitmasks of ``t.rows``,
+    for k blocks:
+
+    - the blocks partition the vertices: their masks' union equals their
+      sum, which has every bit below n set, O(k) big-int steps;
+    - a block b of 2+ vertices is acyclic, its members' scores inside its
+      mask being 0..|b|-1, and autonomous, its members' rows agreeing
+      outside its mask, O(|b|) steps; one vertex is both by definition;
+    - the quotient is acyclically indecomposable: ``restrict`` to one vertex
+      per block, O(k*min(k, n-k)) steps, then
+      ``is_acyclically_indecomposable``, O(k) set lookups."""
+    rows, full = t.rows, (1 << t.n) - 1
     tree = _strong_tree(t)
     runs = [reduce(or_, run) for kind, children in tree.values() if kind == LINEAR
             for leaf, run in itertools.groupby(children, lambda c: c & (c - 1) == 0) if leaf]
-    blocks = _classes(runs + [1 << v for v in _bits((1 << t.n) - 1 & ~reduce(or_, runs, 0))])
-    if sorted(v for b in blocks for v in b) != list(range(t.n)):
+    masks = sorted(runs + [1 << v for v in _bits(full & ~reduce(or_, runs, 0))], key=lambda m: m & -m)
+    if not reduce(or_, masks, 0) == sum(masks) == full:
         raise TournamentError("INTERNAL_INCONSISTENCY", "blocks do not partition the vertex set")
-    for b in blocks:
-        if not is_acyclic(restrict(t, b)):
+    blocks = _classes(masks)
+    for m, b in zip(masks, blocks):
+        if len(b) == 1:
+            continue
+        if sorted((rows[v] & m).bit_count() for v in b) != list(range(len(b))):
             raise TournamentError("INTERNAL_INCONSISTENCY", f"block {b} is not acyclic")
-        if not is_autonomous(t, b):
+        if len({rows[v] & ~m for v in b}) != 1:
             raise TournamentError("INTERNAL_INCONSISTENCY", f"block {b} is not autonomous")
     quotient = restrict(t, [b[0] for b in blocks])
     if not is_acyclically_indecomposable(quotient):
@@ -208,9 +224,11 @@ def spectrum(t: Tournament) -> tuple[int, ...]:
 
 def is_acyclically_indecomposable(t: Tournament) -> bool:
     """No acyclic autonomous set has more than one element: no pair is
-    autonomous, since two consecutive vertices of such a set form one."""
-    rows = t.rows
-    return not any((rows[x] ^ rows[y]) & ~(1 << x | 1 << y) == 0 for x, y in itertools.combinations(range(t.n), 2))
+    autonomous, since two consecutive vertices of such a set form one.  With
+    x -> y, the pair {x, y} is autonomous iff x and y agree on every other
+    vertex, i.e. rows[x] == rows[y] | 1 << y: one set lookup per vertex."""
+    rows = set(t.rows)
+    return not any(r | 1 << y in rows for y, r in enumerate(t.rows))
 
 
 def is_indecomposable(t: Tournament) -> bool:

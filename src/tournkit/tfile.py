@@ -42,14 +42,17 @@ def loads(text: str) -> Tournament:
         if line[i] == "1":
             raise TournamentError("BAD_FILE", f"line {lineno}: diagonal entry must be 0")
         matrix.append((lineno, line))
+    lines = [line for _, line in matrix]
+    rows = [int(line[::-1], 2) for line in lines]
+    # character i of row j is bit j of column i; zip reads column i from the
+    # last row to the first, most significant bit first
+    cols = [int("".join(col), 2) for col in zip(*reversed(lines))]
+    full = (1 << n) - 1
     for i in range(n):
-        for j in range(i + 1, n):
-            if matrix[i][1][j] == matrix[j][1][i]:
-                raise TournamentError(
-                    "BAD_FILE",
-                    f"line {matrix[j][0]}: pair ({i},{j}) must be oriented exactly once",
-                )
-    rows = [int(line[::-1], 2) for _, line in matrix]
+        # bit k of wrong is set iff row i and column i agree on the pair (i, i + 1 + k)
+        if wrong := (full ^ rows[i] ^ cols[i]) >> i + 1:
+            j = i + (wrong & -wrong).bit_length()
+            raise TournamentError("BAD_FILE", f"line {matrix[j][0]}: pair ({i},{j}) must be oriented exactly once")
     return Tournament(n, rows, validate=False)
 
 

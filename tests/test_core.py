@@ -153,6 +153,29 @@ class TestDualRestrict:
             restrict(cycle3(), [0, 5])
         assert e.value.code == "OUT_OF_RANGE"
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 40])
+    def test_restrict_matches_bit_gather(self, rng, n):
+        # every size of kept set, so both the gathering and the clearing side
+        t = random_tournament(rng, n)
+        for k in range(n + 1):
+            for _ in range(3):
+                sub = rng.sample(range(n), k)
+                assert restrict(t, sub).rows == oracle_restrict_rows(t, sub)
+
+    def test_restrict_matches_bit_gather_on_families(self, rng):
+        for kind in KINDS:
+            t = family(kind, 12)
+            for k in (1, t.n // 2, t.n // 2 + 1, t.n - 1, t.n):
+                sub = rng.sample(range(t.n), k)
+                assert restrict(t, sub).rows == oracle_restrict_rows(t, sub)
+
+
+def oracle_restrict_rows(t: Tournament, vertices) -> tuple[int, ...]:
+    """The bit-by-bit gather that ``restrict`` keeps for small kept sets,
+    used on every kept set."""
+    vs = sorted(set(vertices))
+    return tuple(sum(((t.rows[i] >> j) & 1) << jj for jj, j in enumerate(vs)) for i in vs)
+
 
 def oracle_transpose(t: Tournament) -> tuple[int, ...]:
     """The edge-by-edge loop that string columns replaced."""

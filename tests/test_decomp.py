@@ -38,7 +38,7 @@ from tournkit.decomp import (
     separated,
     spectrum,
 )
-from tournkit.families import KINDS, family
+from tournkit.families import KINDS, descending, family
 from tournkit.verify import enumerate_tournaments
 
 from conftest import all_labeled_tournaments, random_tournament
@@ -188,6 +188,7 @@ def assert_tree_matches_oracles(t):
     d = acyclic_components(t)
     blocks = oracle_blocks(t)
     assert d.blocks == blocks
+    assert_acyclically_indecomposable_matches_oracles(t)
     assert is_indecomposable(t) == oracle_is_indecomposable(t)
     assert monomorphic_components(t) == oracle_monomorphic_classes(t, blocks)
 
@@ -202,6 +203,18 @@ def _together(t, x, y):
 def oracle_is_acyclically_indecomposable(t):
     """The closure test that the autonomous-pair test replaced."""
     return not any(_together(t, x, y) for x, y in combinations(range(t.n), 2))
+
+
+def oracle_pair_scan_is_acyclically_indecomposable(t):
+    """The XOR scan of all pairs that the row lookup replaced: no two rows
+    agree off the pair itself."""
+    rows = t.rows
+    return not any((rows[x] ^ rows[y]) & ~(1 << x | 1 << y) == 0 for x, y in itertools.combinations(range(t.n), 2))
+
+
+def assert_acyclically_indecomposable_matches_oracles(t):
+    assert (is_acyclically_indecomposable(t) == oracle_pair_scan_is_acyclically_indecomposable(t)
+            == oracle_is_acyclically_indecomposable(t))
 
 
 def brute_acyclic_autonomous_sets(t):
@@ -378,7 +391,9 @@ class TestIndecomposability:
         assert is_acyclically_indecomposable(chain(1))
 
     def test_pair_test_matches_closure_oracle(self, rng):
-        cases = [t for n in range(8) for t in enumerate_tournaments(n)]
+        # against the pair scan too; the tree tests run both oracles on the
+        # hypothesis tournaments, the lex sums and the family members
+        cases = [t for n in range(9) for t in enumerate_tournaments(n)]
         cases += [t for n in range(6) for t in all_labeled_tournaments(n)]
         for t in cases[:]:
             perm = list(range(t.n))
@@ -386,7 +401,7 @@ class TestIndecomposability:
             cases.append(relabel(t, perm))
         cases += [lex_sum(cycle3(), [chain(12)] * 3), family("v", 19)]
         for t in cases:
-            assert is_acyclically_indecomposable(t) == oracle_is_acyclically_indecomposable(t)
+            assert_acyclically_indecomposable_matches_oracles(t)
 
     def test_indecomposable_brute(self, rng):
         for _ in range(40):
@@ -581,6 +596,7 @@ class TestStrongTree:
         for kind in KINDS:
             for length in range(1, 13):
                 assert_tree_matches_oracles(family(kind, length))
+                assert_tree_matches_oracles(family(kind, descending(length)))
 
     def test_matches_oracles_nested_lex_sums(self):
         rng = random.Random(31)

@@ -41,7 +41,7 @@ from tournkit.verify import enumerate_tournaments
 from conftest import random_tournament
 from test_acceptance import SUM_SPECS
 from test_core import diamond
-from test_decomp import NESTED
+from test_decomp import NESTED, oracle_blocks
 
 
 def oracle_subset_codes(t, n, budget):
@@ -465,6 +465,19 @@ class TestSumProfile:
         want = oracle_sum_profile(spec, n)
         assert oracle_keyed_sum_profile(spec, (n,)) == (want,)
         assert sum_profile(spec, n) == want
+
+    def test_matches_oracle_on_seven_and_eight_vertex_indices(self):
+        # the drawn indices above stop at 6 vertices; the growth data are
+        # read off the closure oracle's blocks of the index on its support
+        rng = random.Random(20261019)
+        for k in (7, 8, 8):
+            index = random_tournament(rng, k)
+            spec = SumSpec(index, tuple(rng.choice((0, 1, 2, UNBOUNDED, UNBOUNDED)) for _ in range(k)))
+            assert sum_profile_sequence(spec, 8).values == tuple(oracle_sum_profile(spec, n) for n in range(9))
+            live = [v for v, c in enumerate(spec.caps) if c is UNBOUNDED or c > 0]
+            blocks = [[live[v] for v in b] for b in oracle_blocks(restrict(index, live))]
+            k_unbounded = sum(1 for b in blocks if any(spec.caps[v] is UNBOUNDED for v in b))
+            assert growth_of_sum(spec) == {"p": len(blocks), "k": k_unbounded, "degree": k_unbounded - 1}
 
     def test_matches_keyed_oracle_on_small_classes(self):
         # every class with n <= 4 under every caps vector over {0, 1, 2, UNBOUNDED}

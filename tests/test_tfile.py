@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from tournkit.core import TournamentError, cycle3
@@ -53,3 +56,36 @@ def test_extra_rows_rejected():
     with pytest.raises(TournamentError) as e:
         loads("2\n01\n10\n01\n")
     assert e.value.code == "BAD_FILE"
+
+
+def oracle_first_bad_pair(text):
+    """The per-character pair loop that row and column bitmasks replaced:
+    the BAD_FILE message of the first pair (i, j), i < j, oriented twice or
+    never, or None."""
+    kept = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), start=1)]
+    matrix = [(lineno, line) for lineno, line in kept if line and not line.startswith("#")][1:]
+    n = len(matrix)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if matrix[i][1][j] == matrix[j][1][i]:
+                return f"BAD_FILE: line {matrix[j][0]}: pair ({i},{j}) must be oriented exactly once"
+    return None
+
+
+@pytest.mark.parametrize("broken", [1, 2])
+def test_first_bad_pair_matches_pair_loop(broken):
+    rng = random.Random(4100 + broken)
+    for _ in range(300):
+        n = rng.randint(3, 14)
+        rows = [list(line) for line in dumps(random_tournament(rng, n)).split()[1:]]
+        for i, j in rng.sample(list(combinations(range(n), 2)), broken):
+            if rng.getrandbits(1):
+                i, j = j, i
+            rows[i][j] = "1" if rows[i][j] == "0" else "0"
+        lines = [str(n)] + ["".join(row) for row in rows]
+        lines.insert(rng.randint(1, n + 1), "# a comment shifts the line numbers")
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(TournamentError) as e:
+            loads(text)
+        assert e.value.code == "BAD_FILE"
+        assert str(e.value) == oracle_first_bad_pair(text)

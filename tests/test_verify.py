@@ -197,6 +197,29 @@ class TestDecompositionSuite:
         assert [(c["check"], c["error"]) for c in rep.counterexamples] == [
             ("acyclic_components", "INTERNAL_INCONSISTENCY: block (0, 1, 2) is not acyclic")]
 
+    @pytest.mark.parametrize("cyclic, tree, error", [
+        # an acyclic run that is not autonomous: no pair of a 3-cycle is
+        (True, {0b111: (decomp.PRIME, [0b011, 0b100]), 0b011: (decomp.LINEAR, [0b001, 0b010])},
+         "block (0, 1) is not autonomous"),
+        # two LINEAR nodes whose leaf runs overlap
+        (False, {0b111: (decomp.LINEAR, [0b001, 0b010, 0b100]), 0b011: (decomp.LINEAR, [0b001, 0b010])},
+         "blocks do not partition the vertex set"),
+        # the 3-chain as a PRIME node: single-vertex blocks whose quotient keeps an autonomous pair
+        (False, {0b111: (decomp.PRIME, [0b001, 0b010, 0b100])},
+         "quotient has a non-trivial acyclic autonomous set"),
+    ], ids=["block_not_autonomous", "overlapping_runs", "decomposable_quotient"])
+    def test_catches_each_broken_law(self, monkeypatch, cyclic, tree, error):
+        # the tree is given to the 3-vertex class that is (or is not) cyclic
+        real = decomp._strong_tree
+        monkeypatch.setattr(decomp, "_strong_tree", lambda t: dict(tree) if t.n == 3 and is_acyclic(t) != cyclic else real(t))
+        victim = next(t for t in enumerate_tournaments(3) if is_acyclic(t) != cyclic)
+        with pytest.raises(TournamentError) as e:
+            decomp.acyclic_components(victim)
+        assert (e.value.code, str(e.value)) == ("INTERNAL_INCONSISTENCY", f"INTERNAL_INCONSISTENCY: {error}")
+        rep = check_decomposition(3)
+        assert not rep.passed
+        assert [(c["check"], c["error"]) for c in rep.counterexamples] == [("acyclic_components", str(e.value))]
+
     def test_sampled_sizes_recorded(self):
         rep = check_decomposition(8, samples_per_size=5)
         assert rep.passed
