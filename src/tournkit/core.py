@@ -19,14 +19,18 @@ class TournamentError(ValueError):
 
 
 class Tournament:
-    """Tournament on vertices 0..n-1; rows[i] is the out-neighbour bitmask of i."""
+    """Tournament on vertices 0..n-1; rows[i] is the out-neighbour bitmask of i.
 
-    __slots__ = ("n", "rows", "_cols")
+    ``rows`` is the only stored form.  Every other vertex beats i or is
+    beaten by it, so i's in-neighbours are ``full ^ rows[i] ^ 1 << i``.
+    ``validate=False`` is the caller's promise that the rows form a
+    tournament, since only then does that identity hold."""
+
+    __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows, validate: bool = True):
         self.n = n
         self.rows = tuple(rows)
-        self._cols = None
         if validate:
             self._validate()
 
@@ -58,9 +62,8 @@ class Tournament:
         return bool((self.rows[i] >> j) & 1)
 
     def in_mask(self, i: int) -> int:
-        if self._cols is None:
-            self._cols = self._transpose()
-        return self._cols[i]
+        """Bitmask of the vertices that beat i."""
+        return ((1 << self.n) - 1) ^ self.rows[i] ^ 1 << i
 
     def out_degree(self, i: int) -> int:
         return self.rows[i].bit_count()
@@ -151,10 +154,8 @@ def cycle3() -> Tournament:
 
 
 def dual(t: Tournament) -> Tournament:
-    """Reverse every edge: the dual's rows are t's columns and its columns t's rows."""
-    d = Tournament(t.n, t._cols or t._transpose(), validate=False)
-    d._cols = t.rows
-    return d
+    """Reverse every edge: the dual's row i is t.in_mask(i)."""
+    return Tournament(t.n, map(t.in_mask, range(t.n)), validate=False)
 
 
 def restrict(t: Tournament, vertices) -> Tournament:

@@ -130,17 +130,15 @@ def sum_profile(spec: SumSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
 
 def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
     """``sum_profile`` at each of sizes, by one Burnside count per quotient class."""
+    if spec.index.n > 8:
+        raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}",
+                              {"consumed": spec.index.n, "limit": 8, "where": "profiles.sum_profile"})
     for n in sizes:
-        if spec.index.n > 8:
-            raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}",
-                                  {"consumed": spec.index.n, "limit": 8, "where": "profiles.sum_profile"})
         if n < 0:
             raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
         if _vector_count(spec.caps, n) > budget:
             raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors",
                                   {"consumed": max(budget, 0) + 1, "limit": budget, "where": "profiles.sum_profile"})
-    if not sizes:
-        return ()
     low, high = min(sizes), max(sizes)
     live = [v for v, c in enumerate(spec.caps) if c is UNBOUNDED or c > 0]
     classes = {}  # (|Q|, code of Q) -> (Aut(Q) on canonical positions, boxes there)

@@ -170,7 +170,7 @@ def _decode(n: int, bits: int) -> Tournament:
 
 def _augmentations(parent: Tournament):
     """Codes of the children of parent kept by canonical augmentation."""
-    rows, m, cols = parent.rows, parent.n, parent._transpose()
+    rows, m, cols = parent.rows, parent.n, [parent.in_mask(j) for j in range(parent.n)]
     group = _group([g for g, _ in _search(rows)[3]], m)  # Aut(parent), the identity first
     cycles = [sum((rows[a] & cols[j]).bit_count() for a in _bits(rows[j])) for j in range(m)]
     # at_least[s]: the parent vertices scoring s or more; at_least[-1] is 0
@@ -428,16 +428,12 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
                               {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})
     report = SuiteReport("compactness", {"n": n, "size_bound": size_bound})
     t0 = time.perf_counter()
-    members = []
-    seen_codes = set()
+    members = {}  # one member per class, read back by size and code
     for kind in KINDS:
         m = checked_family(kind, n)
-        code = canonical_form(m)
         report.add(f"member_{kind}", True, size=m.n)
-        if code.bits not in seen_codes:
-            seen_codes.add(code.bits)
-            members.append(m)
-    members.sort(key=lambda m: (m.n, canonical_form(m).bits))
+        members.setdefault((m.n, canonical_form(m).bits), m)
+    members = [members[key] for key in sorted(members)]
 
     # reducible[s]: the classes on s vertices whose acyclic quotient is smaller
     reducible = [0] * (size_bound + 1)

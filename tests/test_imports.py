@@ -1,4 +1,5 @@
-"""Every module-level import in the package modules is used."""
+"""Every module-level import in the package modules is used, and only
+``core`` reads a tournament's private column helpers."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,26 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+COLUMN_PRIVATES = {"_transpose", "_cols"}
+
+
+def column_private_reads(source: str) -> list[str]:
+    """Attributes in COLUMN_PRIVATES that the module reads."""
+    return [node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in COLUMN_PRIVATES]
+
+
+def test_finds_a_column_private_read():
+    source = "def f(t):\n    return t._transpose()[0] | t._cols[1] | t.in_mask(2)\n"
+    assert sorted(column_private_reads(source)) == ["_cols", "_transpose"]
+
+
+OUTSIDE_CORE = sorted(p for p in PACKAGE.glob("*.py") if p.name != "core.py")
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CORE, ids=[p.name for p in OUTSIDE_CORE])
+def test_columns_have_one_definition(path):
+    """Every module outside core asks a tournament for in-masks through in_mask."""
+    assert column_private_reads(path.read_text()) == []
