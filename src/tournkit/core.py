@@ -65,12 +65,6 @@ class Tournament:
         """Bitmask of the vertices that beat i."""
         return ((1 << self.n) - 1) ^ self.rows[i] ^ 1 << i
 
-    def out_degree(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
-    def vertices(self) -> range:
-        return range(self.n)
-
     def __eq__(self, other):
         return isinstance(other, Tournament) and self.n == other.n and self.rows == other.rows
 
@@ -448,55 +442,52 @@ def is_isomorphic(a: Tournament, b: Tournament) -> bool:
 def find_embedding(pattern: Tournament, host: Tournament) -> list[int] | None:
     """Injective map preserving orientations, or None.
 
-    Backtracking with per-vertex candidate bitmasks: candidates are filtered
-    by out/in-degree feasibility up front and narrowed after each placement;
-    the next pattern vertex is always one with the fewest candidates left.
-    Deterministic: ties and candidate order are by vertex index.
+    Backtracking over host bitmask domains (Ullmann, J. ACM 23, 1976; the
+    bitset domains of McCreesh, Prosser and Trimble's Glasgow Subgraph
+    Solver, ICGT 2020).  A pattern vertex of score s may only go to a host
+    vertex of score s to s + host.n - pattern.n; mapping u to v narrows each
+    unplaced w to v's out- or in-neighbours, as u beats w or not, and a
+    domain left empty rejects v.  The next vertex is the unplaced one with
+    the fewest candidates, the least index on a tie, and its candidates are
+    tried in ascending order, so the witness is the first such map found.
     """
     np_, nh = pattern.n, host.n
     if np_ > nh:
         return None
-    if np_ == 0:
-        return []
-    hout = [r.bit_count() for r in host.rows]
-    cand = []
-    for u in range(np_):
-        po, pi = pattern.out_degree(u), np_ - 1 - pattern.out_degree(u)
-        m = 0
-        for v in range(nh):
-            if hout[v] >= po and nh - 1 - hout[v] >= pi:
-                m |= 1 << v
-        if m == 0:
-            return None
-        cand.append(m)
-    assigned = [-1] * np_
+    prows, hrows = pattern.rows, host.rows
+    by_score = [0] * nh
+    for v, r in enumerate(hrows):
+        by_score[r.bit_count()] |= 1 << v
+    doms = [sum(by_score[s:s + nh - np_ + 1]) for s in (r.bit_count() for r in prows)]
+    if not all(doms):
+        return None
+    hin = list(map(host.in_mask, range(nh)))
+    image = [-1] * np_
 
-    def rec(cands, remaining):
-        if not remaining:
+    def rec(doms, todo):
+        if not todo:
             return True
-        u = min(remaining, key=lambda w: cands[w].bit_count())
-        rest = remaining - {u}
-        m = cands[u]
+        u = min(todo, key=lambda w: doms[w].bit_count())
+        rest = [w for w in todo if w != u]
+        ru, m = prows[u], doms[u]
         while m:
             low = m & -m
             m ^= low
             v = low.bit_length() - 1
-            new = dict(cands)
+            out, inn = hrows[v], hin[v]
+            new = doms.copy()
             for w in rest:
-                narrowed = cands[w] & (host.rows[v] if pattern.edge(u, w) else host.in_mask(v))
-                if narrowed == 0:
+                d = new[w] & (out if ru >> w & 1 else inn)
+                if not d:
                     break
-                new[w] = narrowed
+                new[w] = d
             else:
-                assigned[u] = v
+                image[u] = v
                 if rec(new, rest):
                     return True
-                assigned[u] = -1
         return False
 
-    if rec(dict(enumerate(cand)), set(range(np_))):
-        return assigned
-    return None
+    return image if rec(doms, list(range(np_))) else None
 
 
 def embeds(pattern: Tournament, host: Tournament) -> bool:

@@ -310,13 +310,14 @@ def growth_of_sum(spec: SumSpec) -> dict:
     return {"p": len(blocks), "k": k, "degree": k - 1}
 
 
-def stabilized_profile(build, n_max: int, start: int = 2, limit: int | None = None,
+def stabilized_profile(build, n_max: int, limit: int | None = None,
                        budget: int = DEFAULT_BUDGET) -> tuple[list[int], tuple[int, int]]:
     """Profile of an increasing family, grown until two consecutive sizes agree.
 
-    build(N) returns the N-th member.  Values are non-decreasing in N and
-    constant once every type of size <= n_max fits, so agreement between N
-    and N+1 is taken as stabilisation; both N values are returned.
+    build(N) returns the N-th member, for N from 2 to limit.  Values are
+    non-decreasing in N and constant once every type of size <= n_max fits,
+    so agreement between N and N+1 is taken as stabilisation; both N values
+    are returned.
     """
     if n_max < 0:
         raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
@@ -324,7 +325,7 @@ def stabilized_profile(build, n_max: int, start: int = 2, limit: int | None = No
         limit = n_max + 3
     prev = None
     prev_n = None
-    for size in range(start, limit + 1):
+    for size in range(2, limit + 1):
         t = build(size)
         if t.n < n_max:
             continue

@@ -297,12 +297,10 @@ def check_profile_formulas(n_max: int) -> SuiteReport:
     return report
 
 
-def _own_family_truncation(name: str) -> tuple[int, bool]:
+def _own_family_truncation(w: Tournament, own: str) -> tuple[int, bool]:
     """Smallest ascending chain length whose family member hosts the witness."""
-    w = witness(name)
-    kind = witness_family(name)
     for length in range(1, 13):
-        if embeds(w, family(kind, length)):
+        if embeds(w, family(own, length)):
             return length, True
     return 0, False
 
@@ -313,20 +311,20 @@ def check_incomparability(host_size: int = 14) -> SuiteReport:
         raise TournamentError("OUT_OF_RANGE", "host size must be non-negative")
     report = SuiteReport("incomparability", {"host_size": host_size})
     t0 = time.perf_counter()
+    hosts = {}  # kind -> [(orientation, length, member)], the longest members within host_size
+    for kind in KINDS:
+        max_len = _max_length_within(kind, host_size)
+        hosts[kind] = [(o, max_len, family(kind, ChainSpec(max_len, o))) for o in ("asc", "desc") if max_len >= 1]
     for name in WITNESS_NAMES:
         w = witness(name)
         own = witness_family(name)
-        length, found = _own_family_truncation(name)
+        length, found = _own_family_truncation(w, own)
         report.add(f"{name}_in_own_{own}", found, chain_length=length)
         for kind in KINDS:
             if kind == own:
                 continue
             hit = None
-            for orientation in ("asc", "desc"):
-                max_len = _max_length_within(kind, host_size)
-                if max_len < 1:
-                    continue
-                host = family(kind, ChainSpec(max_len, orientation))
+            for orientation, max_len, host in hosts[kind]:
                 if embeds(w, host):
                     hit = (orientation, max_len)
             report.add(f"{name}_avoids_{kind}", hit is None, hit=hit)

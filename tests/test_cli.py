@@ -126,6 +126,48 @@ DECOMPOSE_DIGESTS = {
     ("k", 8, "desc"): "b5f498a285e2b470e719bd36c47dfada09e39f76a1017c411d1ea045ad5069c1",
 }
 
+# SHA-256 of the ``tournkit embed`` stdouts of each witness into the family
+# members of one kind, lengths 1-4 over the ascending chain, then the
+# descending one, concatenated in that order
+EMBED_DIGESTS = {
+    ("tau1", "c3"): "96f56ff82ec959caf551bd8e8d81c3d9dba46113051f142b18d2b2e7f58821d2",
+    ("tau1", "v"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau1", "t"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau1", "u"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau1", "h"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau1", "k"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau2", "c3"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau2", "v"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau2", "t"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau2", "u"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau2", "h"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("tau2", "k"): "983cf7396abb0e1df881a50126abea1b588dfd251ca82068db9dfbae6fbb60ce",
+    ("T5", "c3"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("T5", "v"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("T5", "t"): "cc851414c635ed24c75c66bc43798a64c2d73ba6b081d3175f0f7e952d63bd50",
+    ("T5", "u"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("T5", "h"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("T5", "k"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("U7", "c3"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("U7", "v"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("U7", "t"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("U7", "u"): "a237a4ac7a9c0cce0c97b69cd63cb2fc3181e0d9cdf3882f9d2db9354d2f4a1d",
+    ("U7", "h"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("U7", "k"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("V7", "c3"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("V7", "v"): "de59f39be2b6ab8b75c24393a9a80949ffbe7542f8bf9879890642603aef3c80",
+    ("V7", "t"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("V7", "u"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("V7", "h"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("V7", "k"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("H3", "c3"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("H3", "v"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("H3", "t"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("H3", "u"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+    ("H3", "h"): "950bcc667c3c0d14a961c0d3e06153c5874220094f91cd5781f86f0e12dd3ed8",
+    ("H3", "k"): "c7831141085cfb0da38d67d45b3d1ea194c5adcb9f5b96929256320ed53dddaf",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -419,6 +461,19 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "decompose", str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_DIGESTS[kind, length, orientation]
+
+    @pytest.mark.parametrize("name, kind", list(EMBED_DIGESTS), ids=[f"{w}-{k}" for w, k in EMBED_DIGESTS])
+    def test_embed_stdout_pinned(self, tmp_path, capsys, name, kind):
+        # the witness of each embedding (or its absence), byte for byte
+        dump_path(witness(name), tmp_path / "w.t")
+        digest = hashlib.sha256()
+        for orientation in ("asc", "desc"):
+            for length in range(1, 5):
+                dump_path(family(kind, ChainSpec(length, orientation)), tmp_path / "h.t")
+                code, out, _ = run(capsys, "embed", str(tmp_path / "w.t"), str(tmp_path / "h.t"))
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == EMBED_DIGESTS[name, kind]
 
     @pytest.mark.parametrize("suite, flag", [
         ("compactness", "--size-bound"),

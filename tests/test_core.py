@@ -27,7 +27,7 @@ from tournkit.core import (
     skew_product,
     tournament_from_code,
 )
-from tournkit.families import KINDS, family
+from tournkit.families import KINDS, WITNESS_NAMES, checked_family, family, witness
 from tournkit.verify import enumerate_tournaments
 
 from conftest import all_labeled_tournaments, random_tournament
@@ -668,3 +668,100 @@ class TestSearchOracle:
         for _ in range(20):
             t = random_tournament(r, n)
             assert _search(t.rows) == oracle_search(t.rows)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the embedding search before host-mask domains, with its set of
+# unplaced vertices kept as an ascending list, so that ties go to the least
+# index as documented
+
+
+def oracle_find_embedding(pattern: Tournament, host: Tournament) -> list[int] | None:
+    np_, nh = pattern.n, host.n
+    if np_ > nh:
+        return None
+    if np_ == 0:
+        return []
+    hout = [r.bit_count() for r in host.rows]
+    cand = []
+    for u in range(np_):
+        po = pattern.rows[u].bit_count()
+        pi = np_ - 1 - po
+        m = 0
+        for v in range(nh):
+            if hout[v] >= po and nh - 1 - hout[v] >= pi:
+                m |= 1 << v
+        if m == 0:
+            return None
+        cand.append(m)
+    assigned = [-1] * np_
+
+    def rec(cands, remaining):
+        if not remaining:
+            return True
+        u = min(remaining, key=lambda w: cands[w].bit_count())
+        rest = [w for w in remaining if w != u]
+        m = cands[u]
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            new = dict(cands)
+            for w in rest:
+                narrowed = cands[w] & (host.rows[v] if pattern.edge(u, w) else host.in_mask(v))
+                if narrowed == 0:
+                    break
+                new[w] = narrowed
+            else:
+                assigned[u] = v
+                if rec(new, rest):
+                    return True
+                assigned[u] = -1
+        return False
+
+    if rec(dict(enumerate(cand)), list(range(np_))):
+        return assigned
+    return None
+
+
+def members(kind: str, lengths):
+    for length in lengths:
+        for spec in (ChainSpec(length), ChainSpec(length, "desc")):
+            yield spec, family(kind, spec)
+
+
+class TestEmbeddingOracle:
+    """``find_embedding`` returns the oracle's witness, or None with it."""
+
+    def assert_same(self, pattern, host):
+        assert find_embedding(pattern, host) == oracle_find_embedding(pattern, host)
+
+    def test_all_class_pairs_up_to_6(self):
+        classes = [t for n in range(7) for t in enumerate_tournaments(n)]
+        assert len(classes) ** 2 == 5929
+        for pattern in classes:
+            for host in classes:
+                self.assert_same(pattern, host)
+
+    def test_members_into_longer_members(self):
+        hosts = [(spec.length, t) for kind in KINDS for spec, t in members(kind, range(2, 6))]
+        for kind in KINDS:
+            for spec, t in members(kind, range(1, 5)):
+                for pattern in (t, checked_family(kind, spec)):
+                    for length, host in hosts:
+                        if length > spec.length:
+                            self.assert_same(pattern, host)
+
+    def test_witnesses_into_members(self):
+        for name in WITNESS_NAMES:
+            for kind in KINDS:
+                for _, host in members(kind, range(1, 8)):
+                    self.assert_same(witness(name), host)
+
+    def test_random_pairs(self, rng):
+        for _ in range(300):
+            pattern = random_tournament(rng, rng.randint(1, 8))
+            self.assert_same(pattern, random_tournament(rng, rng.randint(pattern.n, 14)))
+
+    def test_ties_go_to_the_least_index(self):
+        assert find_embedding(family("c3", 3), family("c3", 3)) == list(range(9))

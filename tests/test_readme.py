@@ -27,4 +27,4 @@ def test_library_tour_values():
         got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
         assert got == expected, f"README line {stmt.lineno}: {got!r} != {expected!r}"
         checked += 1
-    assert checked == 6
+    assert checked == 7
