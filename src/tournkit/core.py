@@ -48,14 +48,17 @@ class Tournament:
                 raise TournamentError("SELF_LOOP", f"vertex {i} beats itself")
         cols = self._transpose()
         for i in range(n):
-            if self.rows[i] ^ cols[i] != full ^ (1 << i):
-                raise TournamentError("NOT_A_TOURNAMENT", f"vertex {i}: some pair is missing or doubled")
+            # bit k of wrong is set iff rows i and i + 1 + k both hold their pair or neither does
+            if wrong := (full ^ self.rows[i] ^ cols[i]) >> i + 1:
+                j = i + (wrong & -wrong).bit_length()
+                raise TournamentError("NOT_A_TOURNAMENT", f"pair ({i},{j}) is missing or doubled", {"pair": (i, j)})
 
     def _transpose(self):
-        # character j of each reversed binary row is its bit j; zip reads
-        # column j from the last row to the first, most significant bit first
-        rows = [format(r, f"0{self.n}b")[::-1] for r in reversed(self.rows)]
-        return tuple(int("".join(col), 2) for col in zip(*rows))
+        # the rows' binary digits, last row first, each from bit n-1 down to
+        # bit 0: every n-th digit from n-1-j is column j, most significant first
+        n = self.n
+        digits = "".join(format(r, f"0{n}b") for r in reversed(self.rows))
+        return tuple(int(digits[n - 1 - j::n], 2) for j in range(n))
 
     def edge(self, i: int, j: int) -> bool:
         """True when i beats j."""
@@ -110,20 +113,17 @@ def make_tournament(n: int, edges) -> Tournament:
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
     rows = [0] * n
-    seen = set()
     for x, y in edges:
         if not (0 <= x < n and 0 <= y < n):
             raise TournamentError("OUT_OF_RANGE", f"edge ({x},{y}) outside 0..{n - 1}")
         if x == y:
             raise TournamentError("SELF_LOOP", f"edge ({x},{x})")
-        key = (x, y) if x < y else (y, x)
-        if key in seen:
-            raise TournamentError("DUPLICATE_PAIR", f"pair {{{key[0]},{key[1]}}} oriented twice")
-        seen.add(key)
+        if (rows[x] >> y | rows[y] >> x) & 1:
+            raise TournamentError("DUPLICATE_PAIR", f"pair {{{min(x, y)},{max(x, y)}}} oriented twice")
         rows[x] |= 1 << y
-    want = n * (n - 1) // 2
-    if len(seen) != want:
-        raise TournamentError("MISSING_PAIR", f"{want - len(seen)} pair(s) left unoriented")
+    missing = n * (n - 1) // 2 - sum(r.bit_count() for r in rows)
+    if missing:
+        raise TournamentError("MISSING_PAIR", f"{missing} pair(s) left unoriented")
     return Tournament(n, rows, validate=False)
 
 
@@ -144,7 +144,8 @@ def chain_tournament(spec: ChainSpec) -> Tournament:
 
 
 def cycle3() -> Tournament:
-    return make_tournament(3, [(0, 1), (1, 2), (2, 0)])
+    """0 beats 1, 1 beats 2, 2 beats 0."""
+    return Tournament(3, (0b010, 0b100, 0b001), validate=False)
 
 
 def dual(t: Tournament) -> Tournament:
@@ -197,19 +198,13 @@ def lex_sum(d: Tournament, blocks) -> Tournament:
     if len(blocks) != d.n:
         raise TournamentError("ARITY_MISMATCH", f"index has {d.n} vertices, got {len(blocks)} blocks")
     offs = block_offsets(blocks)
-    total = offs[-1] + blocks[-1].n if blocks else 0
-    rows = [0] * total
-    for i, b in enumerate(blocks):
-        o = offs[i]
-        for u in range(b.n):
-            rows[o + u] = b.rows[u] << o
-    for i in range(d.n):
-        for j in range(d.n):
-            if i != j and d.edge(i, j):
-                mask_j = ((1 << blocks[j].n) - 1) << offs[j]
-                for u in range(blocks[i].n):
-                    rows[offs[i] + u] |= mask_j
-    return Tournament(total, rows, validate=False)
+    masks = [((1 << b.n) - 1) << o for b, o in zip(blocks, offs)]
+    rows = []
+    for b, o, r in zip(blocks, offs, d.rows):
+        # a block's vertices beat every vertex of the blocks that its index vertex beats
+        out = sum(m for j, m in enumerate(masks) if r >> j & 1)
+        rows += [u << o | out for u in b.rows]
+    return Tournament(len(rows), rows, validate=False)
 
 
 # Skew-product generators: pairs over the two-level pattern {0,1} x {0,1}.
@@ -240,26 +235,28 @@ def skew_product(spec: ChainSpec, x_set) -> Tournament:
     ((s,i),(t,j)) orients pairs by position: s=t=0 means the within-position
     pair (levels i,j of one x), s=0,t=1 means pairs where the first position
     precedes the second in the chain, s=1,t=0 the reverse.  The selection must
-    orient every pair exactly once or NOT_A_TOURNAMENT is raised.
+    orient every pair exactly once, or NOT_A_TOURNAMENT is raised naming a
+    pair that a repeated token orients twice, or else the first pair that
+    ``Tournament`` finds missing or doubled.
     """
     pairs = [_resolve_generator(tok) for tok in sorted(x_set)]
-    length = spec.length
+    if any(s and t for (s, _), (t, _) in pairs):
+        # both components at position 1 can never match a concrete pair
+        raise TournamentError("NOT_A_TOURNAMENT", "generator covers no pair")
     c = chain_tournament(spec)
-    edges = []
-    for (s, i), (t, j) in pairs:
-        if s == 0 and t == 0:
-            edges.extend(((2 * x + i, 2 * x + j) for x in range(length)))
-        elif s == 0 and t == 1:
-            edges.extend((2 * x + i, 2 * y + j) for x in range(length) for y in range(length) if c.edge(x, y))
-        elif s == 1 and t == 0:
-            edges.extend((2 * x + i, 2 * y + j) for x in range(length) for y in range(length) if c.edge(y, x))
-        else:
-            # both components at position 1 can never match a concrete pair
-            raise TournamentError("NOT_A_TOURNAMENT", "generator covers no pair")
-    try:
-        return make_tournament(2 * length, edges)
-    except TournamentError as exc:
-        raise TournamentError("NOT_A_TOURNAMENT", f"selection does not orient every pair once ({exc.code})") from exc
+    rows = [0] * (2 * spec.length)
+    for x in range(spec.length):
+        # the positions paired with x: x itself, those x precedes, those preceding x
+        reach = {(0, 0): 1 << x, (0, 1): c.rows[x], (1, 0): c.in_mask(x)}
+        for (s, i), (t, j) in pairs:
+            # joining the binary digits with "0" moves bit y to bit 2*y
+            targets = int("0".join(format(reach[s, t], "b")), 2) << j
+            if twice := rows[2 * x + i] & targets:
+                # a repeated token; the OR below would hide it
+                a, b = sorted((2 * x + i, (twice & -twice).bit_length() - 1))
+                raise TournamentError("NOT_A_TOURNAMENT", f"pair ({a},{b}) is oriented twice", {"pair": (a, b)})
+            rows[2 * x + i] |= targets
+    return Tournament(2 * spec.length, rows)
 
 
 def is_acyclic(t: Tournament) -> bool:

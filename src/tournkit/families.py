@@ -12,7 +12,6 @@ from .core import (
     chain_tournament,
     cycle3,
     lex_sum,
-    make_tournament,
     skew_product,
 )
 from .decomp import acyclic_components
@@ -51,19 +50,11 @@ def family(kind: str, c) -> Tournament:
 def _v_family(spec: ChainSpec) -> Tournament:
     """Two stacked chains plus an apex fed by the upper level and feeding the lower."""
     length = spec.length
-    c = chain_tournament(spec)
-    apex = 2 * length
-    edges = []
-    for x in range(length):
-        edges.append((2 * x, 2 * x + 1))
-        edges.append((apex, 2 * x))
-        edges.append((2 * x + 1, apex))
-        for y in range(length):
-            if c.edge(x, y):
-                for i in (0, 1):
-                    for j in (0, 1):
-                        edges.append((2 * x + i, 2 * y + j))
-    return make_tournament(2 * length + 1, edges)
+    stacked = lex_sum(chain_tournament(spec), [chain(2)] * length)
+    apex = 1 << 2 * length
+    # odd (upper) vertices beat the apex, which beats the even (lower) ones
+    rows = [r | apex * (v & 1) for v, r in enumerate(stacked.rows)] + [int("01" * length, 2)]
+    return Tournament(2 * length + 1, rows)
 
 
 def checked_family(kind: str, c) -> Tournament:
@@ -84,23 +75,19 @@ def schmerl_trotter(tag: str, h: int) -> Tournament:
     if h < 2:
         raise TournamentError("H_TOO_SMALL", "need h >= 2")
     n = 2 * h + 1
-    edges = []
+
+    def low(k):  # bits 0..k-1
+        return (1 << k) - 1
+
     if tag == "v":
-        edges.extend((i, j) for i in range(2 * h) for j in range(i + 1, 2 * h))
-        for i in range(h):
-            edges.append((2 * i + 1, 2 * h))
-            edges.append((2 * h, 2 * i))
-        return make_tournament(n, edges)
-    edges.extend((i, j) for i in range(h + 1) for j in range(i + 1, h + 1))
-    for i in range(h + 1, n):
-        for j in range(i + 1, n):
-            edges.append((i, j) if tag == "t" else (j, i))
-    for i in range(h):
-        for j in range(i + 1, h + 1):
-            edges.append((j, i + h + 1))
-        for k in range(i + 1):
-            edges.append((i + h + 1, k))
-    return make_tournament(n, edges)
+        rows = [low(2 * h) ^ low(i + 1) | (i & 1) << 2 * h for i in range(2 * h)] + [int("01" * h, 2)]
+        return Tournament(n, rows)
+    # lower vertex i beats i+1..h and h+1..h+i; upper vertex h+1+k beats 0..k
+    rows = [low(h + 1) ^ low(i + 1) | low(h + 1 + i) ^ low(h + 1) for i in range(h + 1)]
+    for v in range(h + 1, n):
+        upper = low(n) ^ low(v + 1) if tag == "t" else low(v) ^ low(h + 1)
+        rows.append(upper | low(v - h))
+    return Tournament(n, rows)
 
 
 # name -> (its one family, builder); builders look helpers up when called, as a tracer rebinds them

@@ -33,7 +33,6 @@ def loads(text: str) -> Tournament:
         raise TournamentError("BAD_FILE", f"line {header[0]}: vertex count must be non-negative")
     if len(rows_text) != n:
         raise TournamentError("BAD_FILE", f"expected {n} matrix rows, found {len(rows_text)}")
-    matrix = []
     for i, (lineno, line) in enumerate(rows_text):
         if len(line) != n:
             raise TournamentError("BAD_FILE", f"line {lineno}: row has {len(line)} entries, expected {n}")
@@ -41,19 +40,13 @@ def loads(text: str) -> Tournament:
             raise TournamentError("BAD_FILE", f"line {lineno}: rows may contain only 0 and 1")
         if line[i] == "1":
             raise TournamentError("BAD_FILE", f"line {lineno}: diagonal entry must be 0")
-        matrix.append((lineno, line))
-    lines = [line for _, line in matrix]
-    rows = [int(line[::-1], 2) for line in lines]
-    # character i of row j is bit j of column i; zip reads column i from the
-    # last row to the first, most significant bit first
-    cols = [int("".join(col), 2) for col in zip(*reversed(lines))]
-    full = (1 << n) - 1
-    for i in range(n):
-        # bit k of wrong is set iff row i and column i agree on the pair (i, i + 1 + k)
-        if wrong := (full ^ rows[i] ^ cols[i]) >> i + 1:
-            j = i + (wrong & -wrong).bit_length()
-            raise TournamentError("BAD_FILE", f"line {matrix[j][0]}: pair ({i},{j}) must be oriented exactly once")
-    return Tournament(n, rows, validate=False)
+    try:
+        return Tournament(n, [int(line[::-1], 2) for _, line in rows_text])
+    except TournamentError as exc:
+        if exc.code != "NOT_A_TOURNAMENT":
+            raise
+        i, j = exc.details["pair"]
+        raise TournamentError("BAD_FILE", f"line {rows_text[j][0]}: pair ({i},{j}) must be oriented exactly once") from None
 
 
 def load_path(path) -> Tournament:

@@ -214,6 +214,11 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--family", "c3")
         assert code == 2
 
+    def test_st_needs_h(self, capsys):
+        code, out, err = run(capsys, "gen", "--st", "t")
+        assert (code, out) == (2, "")
+        assert err == "error: USAGE: --st needs --h H\n"
+
 
 class TestQueries:
     def test_decompose_two_vertices(self, tmp_path, capsys):
@@ -271,6 +276,17 @@ class TestQueries:
         code, out, _ = run(capsys, "profile", str(f), "--max", "8")
         assert code == 0
         assert json.loads(out)["values"] == [1, 1, 1, 2, 3, 4, 6, 9, 13]
+
+    def test_profile_fit_stdout(self, tmp_path, capsys):
+        f = tmp_path / "c3.t"
+        f.write_text("3\n010\n001\n100\n")
+        code, out, _ = run(capsys, "profile", str(f), "--max", "5", "--fit", "1")
+        assert code == 0
+        # (1 + x + x^2 + x^3)(1 - x) = 1 - x^4
+        assert out == (
+            '{\n  "fit": {\n    "k": 1,\n    "numerator": [\n      1,\n      0,\n      0,\n      0,\n      -1\n'
+            '    ]\n  },\n  "n": 3,\n  "values": [\n    1,\n    1,\n    1,\n    1,\n    0,\n    0\n  ]\n}\n'
+        )
 
     def test_sum_profile_with_fit(self, tmp_path, capsys):
         f = tmp_path / "c3.t"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -106,6 +107,33 @@ class TestConstruction:
         t = chain_tournament(ChainSpec(4, "desc"))
         assert t.edge(3, 0)
         assert is_acyclic(t)
+
+
+def oracle_first_bad_pair(rows) -> tuple[int, int] | None:
+    """The pair loop: the first pair (i, j), i < j, that rows orient twice or never."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] >> j & 1) == (rows[j] >> i & 1):
+                return (i, j)
+    return None
+
+
+class TestValidate:
+    @pytest.mark.parametrize("broken", [1, 2])
+    def test_details_pair_matches_pair_loop(self, broken):
+        rng = random.Random(7300 + broken)
+        for _ in range(300):
+            n = rng.randint(3, 14)
+            rows = list(random_tournament(rng, n).rows)
+            for i, j in rng.sample(list(itertools.combinations(range(n), 2)), broken):
+                if rng.getrandbits(1):
+                    i, j = j, i
+                rows[i] ^= 1 << j
+            with pytest.raises(TournamentError) as e:
+                Tournament(n, rows)
+            assert e.value.code == "NOT_A_TOURNAMENT"
+            assert e.value.details == {"pair": oracle_first_bad_pair(rows)}
 
 
 class TestDualRestrict:

@@ -1,5 +1,6 @@
 """Every module-level import in the package modules is used, and only
-``core`` reads a tournament's private column helpers."""
+``core`` reads a tournament's private column helpers or builds from an
+edge list."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,21 @@ OUTSIDE_CORE = sorted(p for p in PACKAGE.glob("*.py") if p.name != "core.py")
 def test_columns_have_one_definition(path):
     """Every module outside core asks a tournament for in-masks through in_mask."""
     assert column_private_reads(path.read_text()) == []
+
+
+def make_tournament_calls(source: str) -> int:
+    """Calls to make_tournament, by name or as an attribute, in the module."""
+    return sum(1 for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "make_tournament")
+
+
+def test_finds_a_make_tournament_call():
+    source = ("from .core import make_tournament\nfrom . import core\n\n"
+              "def f():\n    return make_tournament(1, []), core.make_tournament(0, []), make_tournament\n")
+    assert make_tournament_calls(source) == 2
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CORE, ids=[p.name for p in OUTSIDE_CORE])
+def test_constructions_are_built_as_rows(path):
+    """Outside core, tournaments are built as rows and checked by Tournament."""
+    assert make_tournament_calls(path.read_text()) == 0
