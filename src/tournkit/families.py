@@ -120,6 +120,8 @@ def witness_family(name: str) -> str:
 
 
 def family_size(kind: str, length: int) -> int:
+    if kind not in KINDS:
+        raise TournamentError("OUT_OF_RANGE", f"unknown family kind {kind!r}")
     if kind == "c3":
         return 3 * length
     if kind == "v":

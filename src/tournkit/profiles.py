@@ -287,6 +287,8 @@ def series_fit(series, k: int) -> list[int] | None:
 
 def age_leq(a: Tournament, b: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) -> bool:
     """Every induced type of a up to size n_max also occurs in b."""
+    if n_max < 0:
+        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
     top = min(n_max, a.n)
     # the first size that b lacks or the budget forbids decides if all below agree
     stop = next((n for n in range(top + 1) if n > b.n or max(comb(a.n, n), comb(b.n, n)) > budget), top + 1)

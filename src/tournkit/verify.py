@@ -134,11 +134,12 @@ def _census(n: int, keep=None) -> list[array]:
     Each class then comes out once, as the child of one class, with no
     dedupe set and no ``_CANON_CACHE`` use.
 
-    The walk descends only into the children that ``keep`` accepts, so with
-    a hereditary ``keep`` level s holds exactly the classes on s vertices
-    that it accepts (level 0, the empty tournament, is not tested).  It holds
-    a stack of pending parents and one array of 8-byte codes per level; a
-    child is decoded only as a parent or as the argument to ``keep``.
+    One ``_search`` per child gives its code, labeling and Aut generators.
+    The stack holds each pending parent as its rows, in the labeling it was
+    built in, and those generators: no child is decoded or searched twice.
+    The walk descends only into the children that ``keep``, shown in that
+    labeling, accepts; with a hereditary class property ``keep``, level s
+    holds exactly its classes on s vertices (level 0 is not tested).
     """
     # the limits of enumerate_tournaments, which the errors name; the CLI
     # walks here directly
@@ -149,49 +150,43 @@ def _census(n: int, keep=None) -> list[array]:
                               {"consumed": n, "limit": 9, "where": "verify.enumerate_tournaments"})
     # codes have n(n-1)/2 <= 36 bits
     levels = [array("Q", [0])] + [array("Q") for _ in range(n)]
-    stack = [Tournament(0, (), validate=False)] if n else []
+    stack = [((), [])] if n else []  # (rows, automorphism generators) of each parent
     while stack:
-        parent = stack.pop()
-        s = parent.n + 1
-        for bits in _augmentations(parent):
-            if keep is not None or s < n:
-                child = _decode(s, bits)
-                if keep is not None and not keep(child):
-                    continue
-                if s < n:
-                    stack.append(child)
-            levels[s].append(bits)
+        rows, gens = stack.pop()
+        m = len(rows)
+        full = (1 << m) - 1
+        cols = [full ^ r ^ 1 << j for j, r in enumerate(rows)]
+        group = _group(gens, m)  # Aut(parent), the identity first
+        cycles = [sum((rows[a] & cols[j]).bit_count() for a in _bits(rows[j])) for j in range(m)]
+        # at_least[s]: the parent vertices scoring s or more; at_least[-1] is 0
+        at_least = [sum(1 << j for j in range(m) if rows[j].bit_count() >= s) for s in range(m + 2)]
+        for mask in range(1 << m):
+            beaters, score = full ^ mask, mask.bit_count()
+            # w's losers keep their score and its beaters gain one: none may outscore
+            # w, and no automorphism of the parent may map mask below itself
+            if mask & at_least[score + 1] or beaters & at_least[score] or any(
+                    sum(1 << p[v] for v in _bits(mask)) < mask for p in group[1:]):
+                continue
+            rival_cycles = {j: cycles[j] + (cols[j] & mask if beaters >> j & 1 else rows[j] & beaters).bit_count()
+                            for j in _bits((mask & at_least[score]) | (beaters & at_least[score - 1]))}
+            w_cycles = sum((rows[a] & beaters).bit_count() for a in _bits(mask))
+            if any(c > w_cycles for c in rival_cycles.values()):
+                continue
+            child = tuple(r | 1 << m if beaters >> j & 1 else r for j, r in enumerate(rows)) + (mask,)
+            code, _, order, child_gens = _search(child)
+            child_gens = [g for g, _ in child_gens]
+            first = next(v for v in order if v == m or rival_cycles.get(v) == w_cycles)
+            if first != m and not _orbit(1 << first, child_gens) >> m & 1:
+                continue
+            if keep is None or keep(Tournament(m + 1, child, validate=False)):
+                if m + 1 < n:
+                    stack.append((child, child_gens))
+                levels[m + 1].append(code)
     return [array("Q", sorted(level)) for level in levels]
 
 
 def _decode(n: int, bits: int) -> Tournament:
     return tournament_from_code(CanonicalCode(n, bits))
-
-
-def _augmentations(parent: Tournament):
-    """Codes of the children of parent kept by canonical augmentation."""
-    rows, m, cols = parent.rows, parent.n, [parent.in_mask(j) for j in range(parent.n)]
-    group = _group([g for g, _ in _search(rows)[3]], m)  # Aut(parent), the identity first
-    cycles = [sum((rows[a] & cols[j]).bit_count() for a in _bits(rows[j])) for j in range(m)]
-    # at_least[s]: the parent vertices scoring s or more; at_least[-1] is 0
-    at_least = [sum(1 << j for j in range(m) if rows[j].bit_count() >= s) for s in range(m + 2)]
-    for mask in range(1 << m):
-        beaters, score = ((1 << m) - 1) ^ mask, mask.bit_count()
-        # w's losers keep their score and its beaters gain one: none may outscore
-        # w, and no automorphism of the parent may map mask below itself
-        if mask & at_least[score + 1] or beaters & at_least[score] or any(
-                sum(1 << p[v] for v in _bits(mask)) < mask for p in group[1:]):
-            continue
-        rival_cycles = {j: cycles[j] + (cols[j] & mask if beaters >> j & 1 else rows[j] & beaters).bit_count()
-                        for j in _bits((mask & at_least[score]) | (beaters & at_least[score - 1]))}
-        w_cycles = sum((rows[a] & beaters).bit_count() for a in _bits(mask))
-        if any(c > w_cycles for c in rival_cycles.values()):
-            continue
-        child = tuple(r | 1 << m if beaters >> j & 1 else r for j, r in enumerate(rows)) + (mask,)
-        code, _, order, child_gens = _search(child)
-        first = next(v for v in order if v == m or rival_cycles.get(v) == w_cycles)
-        if first == m or _orbit(1 << first, [g for g, _ in child_gens]) >> m & 1:
-            yield code
 
 
 def _random_tournament(rng: random.Random, n: int) -> Tournament:

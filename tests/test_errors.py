@@ -6,9 +6,9 @@ import pytest
 
 from tournkit.core import ChainSpec, Tournament, TournamentError, cycle3, make_tournament, relabel, skew_product
 from tournkit.decomp import is_autonomous, is_monomorphic_part_oracle, separated
-from tournkit.families import family, schmerl_trotter
+from tournkit.families import family, family_size, schmerl_trotter
 from tournkit.formulas import a000930_floor_form, partition_count
-from tournkit.profiles import series_fit
+from tournkit.profiles import age_leq, series_fit
 from tournkit.verify import enumerate_tournaments
 
 # a counting series whose product with (1-x)(1-x^2) is 1 + x^6: its last
@@ -30,11 +30,13 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: skew_product(ChainSpec(2), {"v1"}), "NOT_A_TOURNAMENT: generator covers no pair"),
         (lambda: relabel(cycle3(), [0, 0, 1]), "OUT_OF_RANGE: not a permutation of the vertices"),
         (lambda: family("z", 2), "OUT_OF_RANGE: unknown family kind 'z'"),
+        (lambda: family_size("z", 3), "OUT_OF_RANGE: unknown family kind 'z'"),
         (lambda: schmerl_trotter("w", 3), "OUT_OF_RANGE: unknown tag 'w'"),
         (lambda: separated(cycle3(), 0, 3), "OUT_OF_RANGE: pair (0,3) outside 0..2"),
         (lambda: is_autonomous(cycle3(), [3]), "OUT_OF_RANGE: vertex 3 outside 0..2"),
         (lambda: is_monomorphic_part_oracle(cycle3(), [5]), "OUT_OF_RANGE: vertex 5 outside 0..2"),
         (lambda: enumerate_tournaments(-1), "OUT_OF_RANGE: n must be non-negative"),
+        (lambda: age_leq(cycle3(), cycle3(), -1), "OUT_OF_RANGE: n_max must be non-negative"),
         (lambda: series_fit([1] * 8, -1), "OUT_OF_RANGE: k must be non-negative"),
         (lambda: series_fit(SHORT_ZERO_TAIL, 2), "TOO_FEW_TERMS: zero tail shorter than the stabilisation window"),
         (lambda: partition_count(-1, 3), "DOMAIN: need k, n >= 0, got k=-1, n=3"),
@@ -42,7 +44,8 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
     ],
     ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "orientation",
          "make_negative_n", "unknown_generator", "position_one_pair", "relabel", "family_kind",
-         "st_tag", "separated", "is_autonomous", "monomorphic_oracle", "enumerate", "fit_k",
+         "family_size_kind", "st_tag", "separated", "is_autonomous", "monomorphic_oracle", "enumerate",
+         "age_leq_n_max", "fit_k",
          "fit_zero_tail", "partition_count", "floor_form"],
 )
 def test_input_check(call, message):

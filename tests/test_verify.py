@@ -114,6 +114,27 @@ class TestEnumeration:
         assert [list(level) for level in levels] == [[canonical_form(t).bits for t in oracle_census(n)]
                                                      for n in range(8)]
 
+    def test_census_searches_each_child_once_and_decodes_none(self, monkeypatch):
+        # one _search per child that passes the cheap tests: the parents on
+        # 0..7 vertices are not searched again, nor decoded from their codes
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return core._search(rows)
+
+        def decode(*args):
+            raise AssertionError("census decoded a code")
+
+        monkeypatch.setattr(verify, "_search", counting)
+        monkeypatch.setattr(verify, "_decode", decode)
+        monkeypatch.setattr(verify, "tournament_from_code", decode)
+        assert [len(level) for level in verify._census(8)] == [1, 1, 1, 2, 4, 12, 56, 456, 6880]
+        assert len(calls) == 7948
+        members = [checked_family(kind, 3) for kind in KINDS]
+        levels = verify._census(8, lambda t: not any(embeds(m, t) for m in members))
+        assert [len(level) for level in levels] == [1, 1, 1, 2, 4, 10, 36, 143, 576]
+
     def test_caches_no_level_above_the_bound(self, monkeypatch):
         # _REPS keeps the levels up to _REPS_MAX only; a bound of 4 shows it cheaply
         monkeypatch.setattr(verify, "_REPS", {})
