@@ -1,4 +1,4 @@
-"""Command line front end: generate, decompose, profile, embed, enumerate, verify."""
+"""Command line front end: generate, decompose, profile, sum-profile, embed, enumerate, verify."""
 
 from __future__ import annotations
 
@@ -164,11 +164,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else FAIL_EXIT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tournkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a family member, witness, or classical tournament")
+def _gen_arguments(p):
     p.add_argument("--family", choices=KINDS)
     p.add_argument("--witness", choices=WITNESS_NAMES)
     p.add_argument("--st", choices=("t", "u", "v"), help="classical odd tournament tag")
@@ -179,34 +175,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("decompose", help="acyclic decomposition of a tournament file")
+
+def _decompose_arguments(p):
     p.add_argument("file")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("profile", help="induced subtournament census of a file")
+
+def _profile_arguments(p):
     p.add_argument("file")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--fit", type=int, help="fit the series against k unbounded chains")
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("sum-profile", help="profile of a sum of chains over an index file")
+
+def _sum_profile_arguments(p):
     p.add_argument("--index", required=True)
     p.add_argument("--caps", required=True, help="comma list of lengths, 'inf' for unbounded")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--fit", type=int)
     p.set_defaults(func=_cmd_sum_profile)
 
-    p = sub.add_parser("embed", help="search an induced embedding of PATTERN into HOST")
+
+def _embed_arguments(p):
     p.add_argument("pattern")
     p.add_argument("host")
     p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("enumerate", help="canonical representatives on n vertices")
+
+def _enumerate_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--filter", choices=("acyclically-indecomposable",))
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_arguments(p):
     p.add_argument("--suite", required=True, choices=tuple(SUITES))
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--host-size", type=int, default=14)
@@ -214,11 +216,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2, help="chain length for compactness members")
     p.add_argument("--size-bound", type=int, default=8)
     p.set_defaults(func=_cmd_verify)
+
+
+# command -> (help line, function adding its arguments), in `tournkit --help` order
+COMMANDS = {
+    "gen": ("generate a family member, witness, or classical tournament", _gen_arguments),
+    "decompose": ("acyclic decomposition of a tournament file", _decompose_arguments),
+    "profile": ("induced subtournament census of a file", _profile_arguments),
+    "sum-profile": ("profile of a sum of chains over an index file", _sum_profile_arguments),
+    "embed": ("search an induced embedding of PATTERN into HOST", _embed_arguments),
+    "enumerate": ("canonical representatives on n vertices", _enumerate_arguments),
+    "verify": ("run a verification suite", _verify_arguments),
+}
+
+
+def _parser(command=None) -> argparse.ArgumentParser:
+    """The parser of one command, or of every command when `command` is None."""
+    parser = argparse.ArgumentParser(prog="tournkit", description=__doc__)
+    # a one-command parser still names every command in the top-level usage,
+    # which "unrecognized arguments" prints; the full parser leaves metavar
+    # unset, as it would rename the "argument command: invalid choice" error
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_line, add_arguments = COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """Every command's parser, as `tournkit --help` shows it."""
+    return _parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a call that names its command builds only that command's parser; help,
+    # an unknown command or a leading option get the full one
+    parser = _parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -173,6 +174,98 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv), an argparse exit included."""
+    try:
+        code = call(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def full_parser_main(argv):
+    # the oracle: parse with every command's parser, then dispatch
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+# FILE stands for a tournament file written by the test
+USAGE_SURFACE = [[], ["--help"]] + [[command, "--help"] for command in cli.COMMANDS] + [
+    ["bogus"],
+    ["decompose"],
+    ["decompose", "FILE", "--bogus"],
+    ["verify", "--suite", "nope"],
+    ["gen", "--family", "zz"],
+]
+
+
+class TestParser:
+    @pytest.fixture
+    def c3_file(self, tmp_path):
+        dump_path(cycle3(), tmp_path / "c3.t")
+        return str(tmp_path / "c3.t")
+
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    @pytest.mark.parametrize("argv", USAGE_SURFACE, ids=lambda argv: " ".join(argv) or "(none)")
+    def test_usage_surface_matches_full_parser(self, argv, columns, c3_file, capsys, monkeypatch):
+        # COLUMNS fixes argparse's wrapping; the full parser is the oracle, as
+        # argparse's wording differs between Python versions
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = [c3_file if arg == "FILE" else arg for arg in argv]
+        got = outcome(capsys, main, argv)
+        assert got == outcome(capsys, full_parser_main, argv)
+        assert got[0] == (0 if "--help" in argv else cli.USAGE_EXIT)
+        assert got[1 if got[0] == 0 else 2].startswith("usage: tournkit")
+
+    def test_unrecognized_argument_usage_lists_every_command(self, c3_file, capsys):
+        _, _, err = outcome(capsys, main, ["decompose", c3_file, "--bogus"])
+        assert err.startswith("usage: tournkit [-h]")
+        assert "{" + ",".join(cli.COMMANDS) + "} ..." in err
+        assert err.endswith("tournkit: error: unrecognized arguments: --bogus\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "tournkit: error: the following arguments are required: command\n"),
+        (["bogus"], "tournkit: error: argument command: invalid choice: 'bogus'"),
+    ], ids=["(none)", "bogus"])
+    def test_full_parser_errors_name_the_command_argument(self, argv, message, capsys):
+        # the oracle above shares build_parser, so its error text is pinned here
+        code, _, err = outcome(capsys, main, argv)
+        assert code == cli.USAGE_EXIT
+        assert message in err
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Names of the subparsers built, in order."""
+        seen = []
+        add_parser = argparse._SubParsersAction.add_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            lambda self, name, **kwargs: seen.append(name) or add_parser(self, name, **kwargs))
+        return seen
+
+    @pytest.mark.parametrize("argv", [["decompose", "FILE"]] + [[command, "--help"] for command in cli.COMMANDS],
+                             ids=" ".join)
+    def test_named_command_builds_one_subparser(self, argv, built, c3_file, capsys):
+        outcome(capsys, main, [c3_file if arg == "FILE" else arg for arg in argv])
+        assert built == [argv[0]]
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--bogus", "decompose"]],
+                             ids=lambda argv: " ".join(argv) or "(none)")
+    def test_other_calls_build_every_subparser(self, argv, built, capsys):
+        outcome(capsys, main, argv)
+        assert built == list(cli.COMMANDS)
+
+    def test_argv_defaults_to_sys_argv(self, c3_file, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["tournkit", "decompose", c3_file])
+        code, out, _ = outcome(capsys, lambda argv: main(), [])
+        assert code == 0
+        assert json.loads(out)["indecomposable"] is True
+
+    def test_help_description_names_every_command(self):
+        listed = cli.__doc__.rstrip(".").split(": ", 1)[1].split(", ")
+        assert listed == ["generate" if command == "gen" else command for command in cli.COMMANDS]
 
 
 class TestGen:
