@@ -126,16 +126,16 @@ def _reach(start: int, step: dict[int, int], within: int) -> int:
     return seen
 
 
-def _maximal_modules(t: Tournament, mask: int) -> list[int]:
-    """Maximal modules of a strongly connected t|mask other than mask.  Those
-    avoiding its least vertex v partition the rest: a part is split by any
-    vertex of mask outside it that beats some but not all of it.  A part P
-    forces a part P' when P' splits v and P, i.e. v and P's least vertex
-    differ towards P', so the least module holding v and P is v with every
-    part reachable from P.  The parts that reach all of them, the forcing
-    relation's one source component, are maximal modules; the others join v."""
+def _least_partition(t: Tournament, mask: int):
+    """P(mask, v): the maximal modules of t|mask that avoid its least vertex
+    v, keyed by least vertex, the mask of those keys and the forcing relation
+    both ways.  The parts partition the rest: a part is split by any vertex
+    of mask outside it that beats some but not all of it.  A part P forces a
+    part P' when P' splits v and P, i.e. v and P's least vertex differ
+    towards P', so the least module holding v and P is v with every part
+    reachable from P."""
     rows, low = t.rows, mask & -mask
-    todo, parts = [mask ^ low], {}  # each part keyed by its least vertex
+    todo, parts = [mask ^ low], {}
     while todo:
         part = todo.pop()
         # the first member that some outside vertex z tells from the least
@@ -152,12 +152,21 @@ def _maximal_modules(t: Tournament, mask: int) -> list[int]:
             parts[(part & -part).bit_length() - 1] = part
     reps, vrow = sum(1 << r for r in parts), rows[low.bit_length() - 1]
     forces = {r: (vrow ^ rows[r]) & reps for r in parts}
-    seen = root = 0  # the root of the last search over unseen parts reaches them all
-    for r in parts:
-        if not seen >> r & 1:
-            root, seen = r, seen | _reach(1 << r, forces, reps & ~seen)
     # r' is forced by the parts whose representative meets it unlike v does
     forced_by = {r: reps & (rows[r] if vrow >> r & 1 else t.in_mask(r)) for r in parts}
+    return parts, reps, forces, forced_by
+
+
+def _maximal_modules(t: Tournament, mask: int, partition=None) -> list[int]:
+    """Maximal modules of a strongly connected t|mask other than mask, read
+    from P(mask, v) or from P(M, v) of a strong module M holding mask and v:
+    the parts in mask that reach all of them, the forcing relation's one
+    source component, are maximal modules; the others join v."""
+    parts, reps, forces, forced_by = partition or _least_partition(t, mask)
+    unseen = reps = reps & mask
+    for r in parts:  # the root of the last search over unseen parts reaches them all
+        if unseen >> r & 1:
+            root, unseen = r, unseen & ~_reach(1 << r, forces, unseen)
     modules = [parts[r] for r in _bits(_reach(1 << root, forced_by, reps))]
     return sorted(modules + [mask ^ sum(modules)])
 
@@ -166,14 +175,22 @@ def _strong_tree(t: Tournament) -> dict[int, tuple[str, list[int]]]:
     """Each strong module (one overlapping no module) of 2+ vertices mapped to
     its kind and children: LINEAR with its strong components in condensation
     order, or, if strongly connected, PRIME with its maximal proper modules,
-    which hold every smaller module.  Polynomial; singletons are leaves."""
+    which hold every smaller module.  Polynomial; singletons are leaves.
+
+    One P(M, v) serves each strong module C in M that holds M's least vertex
+    v: the parts inside C are P(C, v), as a module of the module C is a
+    module of t|M and no part overlaps C.  So each chain of nested nodes
+    holding v, LINEAR ones included, refines once (Ehrenfeucht, Gabow,
+    McConnell and Sullivan, J. Algorithms 16, 1994)."""
     tree = {}
-    todo = [(1 << t.n) - 1] if t.n != 1 else []
+    todo = [((1 << t.n) - 1, None)] if t.n != 1 else []
     while todo:
-        mask = todo.pop()
+        mask, partition = todo.pop()
         children = _strong_components(t, mask)
-        tree[mask] = (LINEAR, children) if len(children) != 1 else (PRIME, _maximal_modules(t, mask))
-        todo += (c for c in tree[mask][1] if c & (c - 1))
+        if len(children) == 1:  # strongly connected
+            partition = partition or _least_partition(t, mask)
+        tree[mask] = (LINEAR, children) if len(children) != 1 else (PRIME, _maximal_modules(t, mask, partition))
+        todo += ((c, partition if c & mask & -mask else None) for c in tree[mask][1] if c & (c - 1))
     return tree
 
 

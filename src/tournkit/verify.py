@@ -57,7 +57,7 @@ from .formulas import (
     V_LOWER,
     formula_value,
 )
-from .profiles import _orbit_counts, stabilized_profile
+from .profiles import stabilized_profile
 
 
 @dataclass
@@ -363,9 +363,11 @@ def check_duality(max_chain: int = 5) -> SuiteReport:
     return report
 
 
-def _class_count(n: int) -> int:
-    """Tournaments on n vertices up to isomorphism (OEIS A000568), by Davis's
-    formula (Bull. Math. Biophys. 16, 1954).
+def _cycle_index_sum(size: int, f) -> list[int]:
+    """Coefficients of x^0..x^size of Davis's cycle index of tournaments
+    (Bull. Math. Biophys. 16, 1954) at p_l = f(x^l), for the power series f
+    with coefficients f[0] = 0, f[1], ...; f(y) = y counts the classes on n
+    vertices (OEIS A000568).
 
     Burnside over the n! relabelings: a permutation with an even cycle
     reverses the pair of opposite vertices on it and fixes no tournament.
@@ -374,19 +376,26 @@ def _class_count(n: int) -> int:
     between two cycles.  Its conjugacy class holds n!/z_lambda permutations,
     z_lambda = prod over part sizes p of p^m_p * m_p! for multiplicities m_p.
     """
-    def odd_partitions(total, largest):
-        if not total:
-            yield ()
-        for part in range(min(total, largest), 0, -1):
+    def odd_partitions(room, largest):  # each multiset of odd parts with total <= room
+        yield ()
+        for part in range(min(room, largest), 0, -1):
             if part % 2:
-                yield from ((part, *rest) for rest in odd_partitions(total - part, part))
+                yield from ((part, *rest) for rest in odd_partitions(room - part, part))
 
-    fixed = 0
-    for parts in odd_partitions(n, n):
+    scale, series = factorial(size), [0] * (size + 1)  # z_lambda divides n!, which divides size!
+    for parts in odd_partitions(size, size):
         exponent = sum((p - 1) // 2 for p in parts) + sum(gcd(a, b) for a, b in combinations(parts, 2))
         z = prod(parts) * prod(factorial(parts.count(p)) for p in set(parts))
-        fixed += (factorial(n) // z) << exponent
-    return fixed // factorial(n)
+        term = [(scale // z) << exponent] + [0] * size
+        for l in parts:  # times f(x^l)
+            term = [sum(f[j] * term[i - l * j] for j in range(min(i // l + 1, len(f)))) for i in range(size + 1)]
+        series = [a + b for a, b in zip(series, term)]
+    return [c // scale for c in series]
+
+
+def _class_count(n: int) -> int:
+    """Tournaments on n vertices up to isomorphism (OEIS A000568)."""
+    return _cycle_index_sum(n, [0, 1])[n]
 
 
 def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
@@ -405,12 +414,10 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
       order, that filtering ``enumerate_tournaments(s)`` gives.
     - The candidates, the acyclically indecomposable (AI) classes on s
       vertices, are counted.  Every tournament is, in exactly one way,
-      Q[chains] with Q its acyclic quotient, which is AI, so its classes on
-      s vertices are, over the AI classes Q on k <= s vertices, the
-      Aut(Q)-orbits of k positive chain lengths with total s.  Those with
-      k = s are the AI classes themselves, so their number is
-      ``_class_count(s)`` minus, over the AI classes Q with k < s, the orbit
-      counts of ``_orbit_counts``.
+      Q[chains] with Q its acyclic quotient, which is AI: as species,
+      T = A o L+ with L+ the non-empty chains, whose cycle index p_1/(1 - p_1)
+      involves p_1 alone, so ``_cycle_index_sum`` at f(y) = y/(1 + y), the
+      inverse of y/(1 - y), counts the AI classes.
     """
     if n not in (2, 3):
         raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
@@ -428,26 +435,17 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
         members.setdefault((m.n, canonical_form(m).bits), m)
     members = [members[key] for key in sorted(members)]
 
-    # reducible[s]: the classes on s vertices whose acyclic quotient is smaller
-    reducible = [0] * (size_bound + 1)
-    for k in range(1, size_bound):
-        for q in enumerate_tournaments(k):
-            if is_acyclically_indecomposable(q):
-                perms = _group([g for g, _ in _search(q.rows)[3]], k)
-                for total, orbits in _orbit_counts(perms, [((1, size_bound),) * k], k + 1, size_bound).items():
-                    reducible[total] += orbits
-
+    candidates = _cycle_index_sum(size_bound, [0] + [(-1) ** (j - 1) for j in range(1, size_bound + 1)])
     smallest_empty = None
     levels = _census(size_bound, lambda t: not any(embeds(m, t) for m in members))
     for s in range(1, size_bound + 1):
-        candidates = _class_count(s) - reducible[s]
         level = (_decode(s, bits) for bits in levels[s])
         avoiders = [t for t in level if is_acyclically_indecomposable(t)]
         # the grown avoiders must fit among the counted candidates
         report.add(
             f"size_{s}",
-            len(avoiders) <= candidates,
-            candidates=candidates,
+            len(avoiders) <= candidates[s],
+            candidates=candidates[s],
             avoiders=[tfile.dumps(t).splitlines() for t in avoiders],
         )
         if not avoiders and smallest_empty is None:

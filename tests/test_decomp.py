@@ -27,6 +27,7 @@ from tournkit.decomp import (
     THREE_CYCLE,
     _bits,
     _maximal_modules,
+    _strong_components,
     _strong_tree,
     acyclic_components,
     is_acyclically_indecomposable,
@@ -182,6 +183,26 @@ def oracle_maximal_modules(t, mask):
         else:
             own |= part
     return sorted(modules + [own])
+
+
+# _strong_tree before one partition was handed down each chain of nested
+# strong modules, kept verbatim: every PRIME node finds its maximal modules
+# from scratch through _maximal_modules(t, mask).
+
+
+def oracle_strong_tree(t):
+    """Each strong module (one overlapping no module) of 2+ vertices mapped to
+    its kind and children: LINEAR with its strong components in condensation
+    order, or, if strongly connected, PRIME with its maximal proper modules,
+    which hold every smaller module.  Polynomial; singletons are leaves."""
+    tree = {}
+    todo = [(1 << t.n) - 1] if t.n != 1 else []
+    while todo:
+        mask = todo.pop()
+        children = _strong_components(t, mask)
+        tree[mask] = (LINEAR, children) if len(children) != 1 else (PRIME, _maximal_modules(t, mask))
+        todo += (c for c in tree[mask][1] if c & (c - 1))
+    return tree
 
 
 def assert_tree_matches_oracles(t):
@@ -658,3 +679,59 @@ class TestMaximalModules:
         monkeypatch.setattr(Tournament, "in_mask", lambda self, v: columns.append(v) or in_mask(self, v))
         assert [_maximal_modules(t, mask) for mask in masks] == want
         assert len(columns) < sum(mask.bit_count() for mask in masks)
+
+
+def random_nested_lex_sum(rng, depth):
+    """A lex sum over a random index of 1 to 4 vertices whose blocks are
+    chains, 3-cycles or, while depth lasts, such lex sums again."""
+    index = random_tournament(rng, rng.randint(1, 4))
+    return lex_sum(index, [random_nested_lex_sum(rng, depth - 1) if depth and rng.random() < 0.5
+                           else rng.choice((cycle3(), chain(rng.randint(1, 3)))) for _ in range(index.n)])
+
+
+def assert_tree_matches_per_node_oracle(t, rng):
+    """The tree equals the per-node oracle on t and on one seeded relabeling."""
+    perm = list(range(t.n))
+    rng.shuffle(perm)
+    for u in (t, relabel(t, perm)):
+        assert _strong_tree(u) == oracle_strong_tree(u)
+
+
+class TestTreeHandDown:
+    def test_matches_per_node_oracle_exhaustive(self):
+        rng = random.Random(21)
+        for n in range(9):
+            for t in enumerate_tournaments(n):
+                assert_tree_matches_per_node_oracle(t, rng)
+
+    def test_matches_per_node_oracle_families(self):
+        rng = random.Random(22)
+        for kind in KINDS:
+            for length in range(1, 25):
+                for spec in (length, descending(length)):
+                    assert_tree_matches_per_node_oracle(family(kind, spec), rng)
+
+    def test_matches_per_node_oracle_nested_lex_sums(self):
+        rng = random.Random(23)
+        for t in NESTED + [random_nested_lex_sum(rng, 3) for _ in range(300)]:
+            assert_tree_matches_per_node_oracle(t, rng)
+
+    def test_one_partition_per_chain(self, monkeypatch):
+        calls, least_partition = [], decomp._least_partition
+        monkeypatch.setattr(decomp, "_least_partition", lambda t, mask: calls.append(mask) or least_partition(t, mask))
+
+        def partitions(t):
+            calls.clear()
+            tree = _strong_tree(t)
+            count = len(calls)
+            assert tree == oracle_strong_tree(t)
+            return count
+
+        # family("k", 20) nests its 19 PRIME nodes around vertex 0, so the
+        # root's partition serves them all; descending, vertex 0 is a leaf of
+        # the root and each nested node has a new least vertex, so each one
+        # builds its own partition, as every PRIME node did before
+        assert partitions(family("k", 20)) == 1
+        assert partitions(family("k", descending(20))) == 19
+        # the partition passes through the LINEAR node between the two 3-cycles
+        assert partitions(lex_sum(cycle3(), [lex_sum(chain(2), [cycle3(), chain(1)]), chain(1), chain(1)])) == 1

@@ -320,9 +320,11 @@ class TestCompactnessSuite:
             assert check_compactness(n, size_bound).to_json() == oracle_check_compactness(n, size_bound).to_json()
 
     def test_builds_no_census_level_at_the_bound(self, monkeypatch):
+        # the candidates come from the cycle index, so no level below the
+        # bound is enumerated either: the one census walk keeps no level
         monkeypatch.setattr(verify, "_REPS", {})
         assert check_compactness(3, 8).passed
-        assert max(verify._REPS) == 7
+        assert verify._REPS == {}
 
     def test_hereditary_growth_keeps_every_avoider(self):
         # one walk under the compactness keep gives, at every level, the
@@ -336,6 +338,27 @@ class TestCompactnessSuite:
 
 
 A000568 = (1, 1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056)
+# acyclically indecomposable (AI) classes on n = 0..12 vertices
+AI_CLASSES = (1, 1, 0, 1, 2, 5, 26, 255, 4602, 147095, 8228360, 814376271, 144675514036)
+
+
+def ai_class_counts(size):
+    """AI classes on 0..size vertices: the cycle index at f(y) = y/(1 + y)."""
+    return verify._cycle_index_sum(size, [0] + [(-1) ** (j - 1) for j in range(1, size + 1)])
+
+
+def oracle_ai_class_counts(size_bound):
+    """The AI counts as check_compactness took them before the cycle index,
+    kept verbatim: every class on s vertices less those whose acyclic
+    quotient Q is smaller, which are Aut(Q)-orbits of chain lengths."""
+    reducible = [0] * (size_bound + 1)
+    for k in range(1, size_bound):
+        for q in enumerate_tournaments(k):
+            if is_acyclically_indecomposable(q):
+                perms = core._group([g for g, _ in core._search(q.rows)[3]], k)
+                for total, orbits in profiles._orbit_counts(perms, [((1, size_bound),) * k], k + 1, size_bound).items():
+                    reducible[total] += orbits
+    return [verify._class_count(s) - reducible[s] for s in range(size_bound + 1)]
 
 
 class TestClassCounts:
@@ -345,6 +368,17 @@ class TestClassCounts:
     def test_davis_formula_matches_census(self):
         for n in range(9):
             assert verify._class_count(n) == len(enumerate_tournaments(n))
+
+    def test_ai_counts_are_published_values(self):
+        assert tuple(ai_class_counts(12)) == AI_CLASSES
+
+    def test_ai_counts_match_quotient_loop_oracle(self):
+        for size_bound in range(9):
+            assert ai_class_counts(size_bound) == oracle_ai_class_counts(size_bound)
+
+    def test_ai_counts_match_census(self):
+        census = [sum(map(is_acyclically_indecomposable, enumerate_tournaments(n))) for n in range(9)]
+        assert ai_class_counts(8) == census
 
     def test_quotient_orbits_count_every_class(self):
         # each class on s vertices is Q[chains] for exactly one acyclically
