@@ -1,4 +1,13 @@
-"""The six chain-indexed families, their checked quotients, and small witnesses."""
+"""The six chain-indexed families, their checked quotients, and small witnesses.
+
+Reversal lemma: sending vertex w*x + i of ``family(kind, L)`` to
+w*(L-1-x) + i (w = 3 for ``c3``, 2 otherwise), with ``v``'s apex 2L kept,
+maps it onto ``family(kind, descending(L))``.  Proof: each rule orienting a
+pair reads only the two levels and the order of the two chain positions,
+and reversing the chain reverses that order.  A finite subset of the omega-
+or omega*-indexed tournament lies in a finite segment, so the twelve
+infinite tournaments have six ages, one per kind.
+"""
 
 from __future__ import annotations
 

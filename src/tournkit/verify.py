@@ -68,6 +68,7 @@ class SuiteReport:
     counterexamples: list[dict] = field(default_factory=list)
     seed: int | None = None
     elapsed: float | None = None
+    _start: float = field(default_factory=time.perf_counter, init=False, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
@@ -84,6 +85,11 @@ class SuiteReport:
         entry = {"check": check, "tournament": tfile.dumps(t).splitlines()}
         entry.update(extra)
         self.counterexamples.append(entry)
+
+    def finish(self) -> SuiteReport:
+        """Set ``elapsed`` to the seconds since the report was made; returns the report."""
+        self.elapsed = time.perf_counter() - self._start
+        return self
 
     def to_json(self, include_timing: bool = False) -> str:
         # timing is excluded by default so equal runs serialise byte-identically
@@ -239,7 +245,6 @@ def check_decomposition(n_max: int, samples_per_size: int = 25, seed: int = 2026
     if samples_per_size < 0:
         raise TournamentError("OUT_OF_RANGE", "samples_per_size must be non-negative")
     report = SuiteReport("decomposition", {"n_max": n_max, "samples_per_size": samples_per_size}, seed=seed)
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     for n in range(1, min(n_max, 6) + 1):
         reps = enumerate_tournaments(n)
@@ -249,8 +254,7 @@ def check_decomposition(n_max: int, samples_per_size: int = 25, seed: int = 2026
         ts = [_random_tournament(rng, n) for _ in range(samples_per_size)]
         good = sum(_check_one_decomposition(t, report, with_oracle=False) for t in ts)
         report.add(f"sampled_n{n}", good == len(ts), samples=len(ts))
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()
 
 
 _PROFILE_NMAX_CAP = 9
@@ -262,7 +266,6 @@ def check_profile_formulas(n_max: int) -> SuiteReport:
         raise TournamentError("BUDGET_EXCEEDED", f"n_max above {_PROFILE_NMAX_CAP} is out of budget",
                               {"consumed": n_max, "limit": _PROFILE_NMAX_CAP, "where": "verify.check_profile_formulas"})
     report = SuiteReport("profile_formulas", {"n_max": n_max})
-    t0 = time.perf_counter()
     v_known = (1, 1, 1, 2, 4, 9, 21, 48)
 
     profiles = {}
@@ -288,45 +291,36 @@ def check_profile_formulas(n_max: int) -> SuiteReport:
     report.add("u_lower_bound", all(u[n] >= formula_value(U_LOWER, n) for n in range(len(u))), values=u)
     h = profiles["h"]
     report.add("h_lower_bound", all(h[n] >= formula_value(H_LOWER, n) for n in range(len(h))), values=h)
-    report.elapsed = time.perf_counter() - t0
-    return report
-
-
-def _own_family_truncation(w: Tournament, own: str) -> tuple[int, bool]:
-    """Smallest ascending chain length whose family member hosts the witness."""
-    for length in range(1, 13):
-        if embeds(w, family(own, length)):
-            return length, True
-    return 0, False
+    return report.finish()
 
 
 def check_incomparability(host_size: int = 14) -> SuiteReport:
-    """Each witness embeds in its own family and in no truncation of the others."""
+    """Each witness embeds in its own family and in no truncation of the others.
+
+    A kind's omega- and omega*-indexed tournaments have one age (the
+    reversal lemma in ``families``), so one host per kind stands for both:
+    its longest ascending member within ``host_size`` vertices.  An m-vertex
+    tournament meets at most m chain positions, so it lies in a kind's age
+    iff it embeds in ``family(kind, m)``.  From host size 21 every host's
+    chain is at least as long as every witness has vertices, and the suite
+    checks the ages exactly.
+    """
     if host_size < 0:
         raise TournamentError("OUT_OF_RANGE", "host size must be non-negative")
     report = SuiteReport("incomparability", {"host_size": host_size})
-    t0 = time.perf_counter()
-    hosts = {}  # kind -> [(orientation, length, member)], the longest members within host_size
-    for kind in KINDS:
-        max_len = _max_length_within(kind, host_size)
-        hosts[kind] = [(o, max_len, family(kind, ChainSpec(max_len, o))) for o in ("asc", "desc") if max_len >= 1]
+    lengths = {kind: _max_length_within(kind, host_size) for kind in KINDS}
+    hosts = {kind: family(kind, length) for kind, length in lengths.items() if length}
     for name in WITNESS_NAMES:
-        w = witness(name)
-        own = witness_family(name)
-        length, found = _own_family_truncation(w, own)
-        report.add(f"{name}_in_own_{own}", found, chain_length=length)
-        for kind in KINDS:
-            if kind == own:
-                continue
-            hit = None
-            for orientation, max_len, host in hosts[kind]:
-                if embeds(w, host):
-                    hit = (orientation, max_len)
+        w, own = witness(name), witness_family(name)
+        # the shortest ascending member of its own family that hosts it, 0 if none up to 12
+        length = next((n for n in range(1, 13) if embeds(w, family(own, n))), 0)
+        report.add(f"{name}_in_own_{own}", length > 0, chain_length=length)
+        for kind in (k for k in KINDS if k != own):
+            hit = lengths[kind] if kind in hosts and embeds(w, hosts[kind]) else None
             report.add(f"{name}_avoids_{kind}", hit is None, hit=hit)
             if hit is not None:
-                report.counterexample(f"{name}_avoids_{kind}", w, host=[kind, *hit])
-    report.elapsed = time.perf_counter() - t0
-    return report
+                report.counterexample(f"{name}_avoids_{kind}", w, host=[kind, hit])
+    return report.finish()
 
 
 def _max_length_within(kind: str, host_size: int) -> int:
@@ -341,7 +335,6 @@ def check_duality(max_chain: int = 5) -> SuiteReport:
     if max_chain < 0:
         raise TournamentError("OUT_OF_RANGE", "max chain must be non-negative")
     report = SuiteReport("duality", {"max_chain": max_chain})
-    t0 = time.perf_counter()
     for length in range(2, max_chain + 1):
         desc = ChainSpec(length, DESCENDING)
         for kind in ("c3", "v", "t", "h"):
@@ -359,8 +352,7 @@ def check_duality(max_chain: int = 5) -> SuiteReport:
             matches = [v for v in (0, 1) if is_isomorphic(restrict(fam, [x for x in range(fam.n) if x != v]), st)]
             report.add(f"classical_{tag}_h{h}", bool(matches), removed_vertex=matches)
         report.add(f"classical_v_h{h}", is_isomorphic(schmerl_trotter("v", h), family("v", h)))
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()
 
 
 def _cycle_index_sum(size: int, f) -> list[int]:
@@ -427,7 +419,6 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
         raise TournamentError("TOO_LARGE", "size bound limited to 8",
                               {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})
     report = SuiteReport("compactness", {"n": n, "size_bound": size_bound})
-    t0 = time.perf_counter()
     members = {}  # one member per class, read back by size and code
     for kind in KINDS:
         m = checked_family(kind, n)
@@ -451,5 +442,4 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
         if not avoiders and smallest_empty is None:
             smallest_empty = s
     report.add("smallest_empty_size", True, value=smallest_empty if smallest_empty is not None else "NOT_REACHED")
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()

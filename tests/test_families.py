@@ -4,6 +4,7 @@ from tournkit.core import (
     ChainSpec,
     TournamentError,
     automorphism_count,
+    canonical_form,
     chain,
     cycle3,
     dual,
@@ -11,6 +12,7 @@ from tournkit.core import (
     is_acyclic,
     is_isomorphic,
     lex_sum,
+    relabel,
     restrict,
 )
 from tournkit.decomp import (
@@ -30,6 +32,7 @@ from tournkit.families import (
     witness,
     witness_family,
 )
+from tournkit.verify import enumerate_tournaments
 
 
 def edge_set(t):
@@ -187,6 +190,22 @@ class TestSchmerlTrotter:
         for h in (2, 3):
             assert automorphism_count(schmerl_trotter("u", h)) == 1
 
+    def test_critically_prime_classes(self):
+        # prime classes whose every one-vertex deletion is not prime: on 5..8
+        # vertices these are exactly the three classical tournaments of odd order
+        for n, expected in ((5, 3), (6, 0), (7, 3), (8, 0)):
+            critical = {
+                canonical_form(t)
+                for t in enumerate_tournaments(n)
+                if is_indecomposable(t)
+                and not any(is_indecomposable(restrict(t, [x for x in range(n) if x != v])) for v in range(n))
+            }
+            classical = set()
+            if n % 2:
+                classical = {canonical_form(schmerl_trotter(tag, (n - 1) // 2)) for tag in ("t", "u", "v")}
+            assert len(critical) == expected
+            assert critical == classical
+
 
 class TestWitnesses:
     def test_tau1(self):
@@ -238,6 +257,18 @@ class TestWitnesses:
             w = witness(name)
             kind = witness_family(name)
             assert any(embeds(w, family(kind, length)) for length in range(1, 9))
+
+
+class TestReversal:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reversed_chain_is_descending_member(self, kind):
+        # the module docstring's reversal: vertex w*x + i to w*(L-1-x) + i,
+        # the apex of v kept, maps each ascending member onto the descending one
+        w = 3 if kind == "c3" else 2
+        for length in range(1, 41):
+            t = family(kind, length)
+            reversal = [w * (length - 1 - v // w) + v % w if v < w * length else v for v in range(t.n)]
+            assert relabel(t, reversal) == family(kind, descending(length))
 
 
 class TestDuality:

@@ -1,6 +1,5 @@
 import functools
 import json
-import time
 
 import pytest
 
@@ -15,7 +14,7 @@ from tournkit.core import (
     tournament_from_code,
 )
 from tournkit.decomp import is_acyclically_indecomposable
-from tournkit.families import KINDS, checked_family
+from tournkit.families import KINDS, checked_family, family_size, witness, witness_family
 from tournkit.tfile import loads
 from tournkit.verify import (
     SuiteReport,
@@ -58,7 +57,6 @@ def oracle_check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
         raise TournamentError("TOO_LARGE", "size bound limited to 8",
                               {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})
     report = SuiteReport("compactness", {"n": n, "size_bound": size_bound})
-    t0 = time.perf_counter()
     members = []
     seen_codes = set()
     for kind in KINDS:
@@ -87,8 +85,7 @@ def oracle_check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
         if not avoiders and smallest_empty is None:
             smallest_empty = s
     report.add("smallest_empty_size", True, value=smallest_empty if smallest_empty is not None else "NOT_REACHED")
-    report.elapsed = time.perf_counter() - t0
-    return report
+    return report.finish()
 
 
 class TestEnumeration:
@@ -271,6 +268,39 @@ class TestIncomparabilitySuite:
         assert rep.passed
         assert len(rep.checks) == 36
 
+    def test_exact_from_host_size_21(self):
+        # every host's chain is at least as long as every witness has vertices,
+        # so each avoidance check is one about the kind's whole age
+        rep = check_incomparability(21)
+        assert rep.passed
+        assert len(rep.checks) == 36
+        host_lengths = [max(n for n in range(1, 22) if family_size(kind, n) <= 21) for kind in KINDS]
+        assert min(host_lengths) >= max(witness(name).n for name in verify.WITNESS_NAMES)
+
+    def test_one_host_search_per_witness_and_foreign_kind(self, monkeypatch):
+        # one host per kind: 6 witnesses x 5 foreign kinds
+        calls = []
+
+        def counting(pattern, host):
+            calls.append(host)
+            return embeds(pattern, host)
+
+        monkeypatch.setattr(verify, "embeds", counting)
+        rep = check_incomparability(14)
+        # the own-family check tries chain lengths 1.. up to the one it reports
+        own = sum(c["details"]["chain_length"] for c in rep.checks if "_in_own_" in c["name"])
+        assert len(calls) - own == 30
+
+    def test_foreign_hit_fails_the_report(self, monkeypatch):
+        # T5 filed under u meets the t host, the longest t member within 14 vertices
+        monkeypatch.setattr(verify, "witness_family", lambda name: "u" if name == "T5" else witness_family(name))
+        rep = check_incomparability(14)
+        assert not rep.passed
+        by_name = {c["name"]: c for c in rep.checks}
+        assert by_name["T5_avoids_t"] == {"name": "T5_avoids_t", "passed": False, "details": {"hit": 7}}
+        assert [(c["check"], c["host"]) for c in rep.counterexamples] == [("T5_avoids_t", ["t", 7])]
+        assert json.loads(rep.to_json())["counterexamples"][0]["host"] == ["t", 7]
+
 
 class TestDualitySuite:
     def test_passes(self):
@@ -419,3 +449,12 @@ class TestReportShape:
         rep = check_duality(2)
         data = json.loads(rep.to_json(include_timing=True))
         assert data["elapsed"] >= 0
+
+    def test_report_keeps_its_own_clock(self):
+        rep = SuiteReport("duality", {})
+        assert rep.elapsed is None
+        assert rep.finish() is rep
+        assert rep.elapsed >= 0
+        # the clock takes no part in equality or repr
+        assert rep == SuiteReport("duality", {}, elapsed=rep.elapsed)
+        assert "_start" not in repr(rep)
