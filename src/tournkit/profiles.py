@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from math import comb
 
 from .core import Tournament, TournamentError, _cached_bits, _group, _search, restrict
 from .decomp import acyclic_components
@@ -37,8 +37,9 @@ class SumSpec:
                 raise TournamentError("OUT_OF_RANGE", "caps must be non-negative or UNBOUNDED")
 
 
-def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> list[set[int]]:
-    """Codes of the induced subtournaments with lo..hi vertices, by size.
+def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> Iterator[set[int]]:
+    """Codes of the induced subtournaments with lo..hi vertices: one set per
+    size 0..hi, empty below lo, yielded as soon as that size is done.
 
     A census level by level over prefixes, each a set of members taken in
     increasing vertex order.  The rest of the search sees a prefix only
@@ -54,22 +55,23 @@ def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> list[set[int]
     operations, so prefixes with one state have the same subtree and each
     level keeps a set of distinct states; the last level, which nothing
     extends, keeps bare keys.  Prefixes that cannot reach lo vertices are
-    cut, and each distinct key of a size in lo..hi is canonized once."""
-    for k in range(lo, hi + 1):
-        if comb(t.n, k) > budget:
-            raise TournamentError("BUDGET_EXCEEDED", f"C({t.n},{k}) subsets exceed budget {budget}",
-                                  {"consumed": comb(t.n, k), "limit": budget, "where": "profiles.subset_census"})
-    n, width, codes = t.n, hi + 1, [set() for _ in range(hi + 1)]
+    cut, and each distinct key of a size in lo..hi is canonized once.  The
+    budget counts the distinct states of one level (the empty prefix is
+    one), checked as each parent's children are added, so no level holds
+    more than budget + N of them."""
+    n, width = t.n, hi + 1
     field, pad = (1 << width) - 1, "0" * (width - 1)
     above = [-1 << (u + 1) * width for u in range(n)]  # the fields after u's
     states = {(0, 0, 0)}  # (key, start, proj) of the empty prefix
     for k in range(hi + 1):
-        if k >= lo:
-            # level hi holds bare keys, unless it is the empty prefix's level
-            keys = states if k == hi > 0 else {key for key, _, _ in states}
-            codes[k] = {_cached_bits(tuple(key >> i * width & field for i in range(k))) for key in keys}
+        if len(states) > budget:
+            raise TournamentError("BUDGET_EXCEEDED", f"{len(states)} prefix states of size {k} exceed budget {budget}",
+                                  {"consumed": len(states), "limit": budget, "where": "profiles.subset_census"})
+        # level hi holds bare keys, unless it is the empty prefix's level
+        keys = () if k < lo else states if k == hi > 0 else {key for key, _, _ in states}
+        yield {_cached_bits(tuple(key >> i * width & field for i in range(k))) for key in keys}
         if k == hi:
-            break
+            return
         # (m * spread) & slots moves bit i of a k-bit mask m to bit i * width,
         # with no carries as k < width
         spread = sum(1 << j * (width - 1) for j in range(k))
@@ -84,15 +86,17 @@ def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> list[set[int]
                 beaten = proj >> u * width & field
                 child = key | beaten << k * width | ((members ^ beaten) * spread & slots) << k
                 children.add(child if last else (child, u + 1, (proj | column[u]) & above[u]))
+            if len(children) > budget:
+                break  # refused at the top of the next level
         states = children
-    return codes
 
 
 def profile_count(t: Tournament, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of isomorphism types among the n-vertex induced subtournaments."""
+    """Number of isomorphism types among the n-vertex induced subtournaments;
+    the budget counts the census's prefix states of one size (``_subset_codes``)."""
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
-    return len(_subset_codes(t, n, n, budget)[n]) if n <= t.n else 0
+    return len(list(_subset_codes(t, n, n, budget))[n]) if n <= t.n else 0
 
 
 def profile_sequence(t: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
@@ -124,6 +128,10 @@ def sum_profile(spec: SumSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
     class has the single box {w >= 1}: one vertex per block of S is a support
     with the same quotient and only singleton blocks.  No contribution vector
     and no n-vertex tournament is built.
+
+    The budget counts the Burnside count's value steps over the whole call:
+    the values tried for one cycle of a fixed vector (see ``_fixed_vectors``),
+    summed over every class and automorphism.
     """
     return _sum_profiles(spec, (n,), budget)[0]
 
@@ -133,13 +141,9 @@ def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
     if spec.index.n > 8:
         raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}",
                               {"consumed": spec.index.n, "limit": 8, "where": "profiles.sum_profile"})
-    for n in sizes:
-        if n < 0:
-            raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
-        if _vector_count(spec.caps, n) > budget:
-            raise TournamentError("BUDGET_EXCEEDED", f"more than {budget} contribution vectors",
-                                  {"consumed": max(budget, 0) + 1, "limit": budget, "where": "profiles.sum_profile"})
     low, high = min(sizes), max(sizes)
+    if low < 0:
+        raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
     live = [v for v, c in enumerate(spec.caps) if c is UNBOUNDED or c > 0]
     classes = {}  # (|Q|, code of Q) -> (Aut(Q) on canonical positions, boxes there)
     for subset in range(1, 1 << len(live)):
@@ -156,34 +160,38 @@ def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
         bounds = [(len(b), min(high, sum(high if spec.caps[v] is UNBOUNDED else spec.caps[v] for v in b)))
                   for b in blocks]
         classes[q.n, code][1].add(tuple(bounds[v] for v in order))
-    found = {}
+    found, spent = {}, 0
     for perms, boxes in classes.values():
         # the union is closed under Aut(Q); a box inside another adds nothing to it
         boxes = {tuple(box[i] for i in perm) for box in boxes for perm in perms}
         boxes = [a for a in boxes
                  if not any(a != b and all(bl <= al and ah <= bh for (al, ah), (bl, bh) in zip(a, b)) for b in boxes)]
-        for total, orbits in _orbit_counts(perms, boxes, low, high).items():
-            found[total] = found.get(total, 0) + orbits
+        orbits, spent = _orbit_counts(perms, boxes, low, high, spent, budget)
+        for total, count in orbits.items():
+            found[total] = found.get(total, 0) + count
     return tuple(found.get(n, 0) if n else 1 for n in sizes)
 
 
-def _orbit_counts(perms, boxes, low: int, high: int) -> dict[int, int]:
+def _orbit_counts(perms, boxes, low: int, high: int, spent: int, budget: int) -> tuple[dict[int, int], int]:
     """Orbits of the group perms on the union of boxes, which it maps onto
-    itself, by total in low..high: Burnside's mean of the vectors each fixes."""
+    itself, by total in low..high: Burnside's mean of the vectors each fixes;
+    and spent plus the steps of ``_fixed_vectors``."""
     fixed = {}
     for perm in perms:
-        for total, ways in _fixed_vectors(perm, boxes, low, high).items():
+        counts, spent = _fixed_vectors(perm, boxes, low, high, spent, budget)
+        for total, ways in counts.items():
             fixed[total] = fixed.get(total, 0) + ways
-    return {total: ways // len(perms) for total, ways in fixed.items()}
+    return {total: ways // len(perms) for total, ways in fixed.items()}, spent
 
 
-def _fixed_vectors(perm, boxes, low: int, high: int) -> dict[int, int]:
+def _fixed_vectors(perm, boxes, low: int, high: int, spent: int, budget: int) -> tuple[dict[int, int], int]:
     """Vectors with totals in low..high, fixed by perm and in the union of boxes.
 
     A fixed vector is constant on perm's cycles, so it is chosen one cycle
     at a time: a state is (boxes still holding the vector, running total),
     and a value is tried only if the cycles after it, inside one of those
-    boxes, can bring the total into low..high."""
+    boxes, can bring the total into low..high.  Each value tried is a step,
+    added to spent, which is returned and refused once it exceeds budget."""
     seen, cycles = set(), []
     for start in range(len(perm)):
         cycle = []
@@ -217,38 +225,25 @@ def _fixed_vectors(perm, boxes, low: int, high: int) -> dict[int, int]:
                     rest = [tails[k][j + 1] for k in range(len(spans)) if both >> k & 1]
                     reach[both] = min(r[0] for r in rest), max(r[1] for r in rest)
                 least, most = reach[both]
-                for x in range(max(a, -((total + most - low) // size)), min(b, (high - total - least) // size) + 1):
+                values = range(max(a, -((total + most - low) // size)), min(b, (high - total - least) // size) + 1)
+                spent += len(values)
+                if spent > budget:
+                    raise TournamentError("BUDGET_EXCEEDED", f"{spent} Burnside steps exceed budget {budget}",
+                                          {"consumed": spent, "limit": budget, "where": "profiles.sum_profile"})
+                for x in values:
                     key = (both, total + size * x)
                     after[key] = after.get(key, 0) + ways
         states = after
     counts = {}
     for (_, total), ways in states.items():
         counts[total] = counts.get(total, 0) + ways
-    return counts
+    return counts, spent
 
 
 def _acyclic_blocks(index: Tournament, support) -> tuple[tuple[tuple[int, ...], ...], Tournament]:
     """Acyclic blocks of index|support as index vertices, and their quotient."""
     d = acyclic_components(restrict(index, support))
     return tuple(tuple(support[v] for v in b) for b in d.blocks), d.quotient
-
-
-def _vector_count(caps, total: int) -> int:
-    """Number of contribution vectors under caps that sum to total: the
-    coefficient of x^total in the product over v of 1 + x + ... + x^caps[v],
-    which is prod over finite caps c > 0 of (1 - x^(c+1)), over (1 - x)^m
-    for the m non-zero caps."""
-    m = sum(1 for c in caps if c is UNBOUNDED or c > 0)
-    numerator = {0: 1}
-    for c in caps:
-        if c is not UNBOUNDED and c > 0:
-            shifted = dict(numerator)
-            for e, a in numerator.items():
-                shifted[e + c + 1] = shifted.get(e + c + 1, 0) - a
-            numerator = shifted
-    if not m:
-        return int(total == 0)
-    return sum(a * comb(total - e + m - 1, m - 1) for e, a in numerator.items() if e <= total)
 
 
 def sum_profile_sequence(spec: SumSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
@@ -286,17 +281,16 @@ def series_fit(series, k: int) -> list[int] | None:
 
 
 def age_leq(a: Tournament, b: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """Every induced type of a up to size n_max also occurs in b."""
+    """Every induced type of a up to size n_max also occurs in b.
+
+    The censuses run size by size, a's before b's, and stop at the first size
+    where b lacks a type of a; the budget counts prefix states of one size."""
     if n_max < 0:
         raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
     top = min(n_max, a.n)
-    # the first size that b lacks or the budget forbids decides if all below agree
-    stop = next((n for n in range(top + 1) if n > b.n or max(comb(a.n, n), comb(b.n, n)) > budget), top + 1)
-    if any(not x <= y for x, y in zip(_subset_codes(a, 0, stop - 1, budget), _subset_codes(b, 0, stop - 1, budget))):
-        return False
-    if stop <= min(top, b.n):  # over the budget: raise its error, a's first
-        _subset_codes(a if comb(a.n, stop) > budget else b, stop, stop, budget)
-    return stop > top
+    # a has a type on b.n + 1 vertices if top > b.n, and b has none
+    levels = zip(_subset_codes(a, 0, top, budget), _subset_codes(b, 0, top, budget))
+    return top <= b.n and all(x <= y for x, y in levels)
 
 
 def growth_of_sum(spec: SumSpec) -> dict:

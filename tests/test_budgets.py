@@ -1,7 +1,5 @@
 """Budget and size errors carry what was consumed, the limit and where."""
 
-from math import comb
-
 import pytest
 
 from tournkit.core import TournamentError, chain, cycle3, make_tournament
@@ -32,14 +30,15 @@ def test_tournament_error_details_default_empty():
          {"consumed": 9, "limit": 8, "where": "verify.check_compactness"}),
         (lambda: is_monomorphic_part_oracle(chain(11), [0]), "TOO_LARGE: oracle limited to 10 vertices, got 11",
          {"consumed": 11, "limit": 10, "where": "decomp.is_monomorphic_part_oracle"}),
-        (lambda: profile_count(chain(30), 15, budget=1000), "BUDGET_EXCEEDED: C(30,15) subsets exceed budget 1000",
-         {"consumed": comb(30, 15), "limit": 1000, "where": "profiles.subset_census"}),
+        (lambda: profile_count(family("c3", 12), 12, budget=1000),
+         "BUDGET_EXCEEDED: 1010 prefix states of size 8 exceed budget 1000",
+         {"consumed": 1010, "limit": 1000, "where": "profiles.subset_census"}),
         (lambda: sum_profile(SumSpec(chain(9), (UNBOUNDED,) * 9), 3),
          "INDEX_TOO_LARGE: index limited to 8 vertices, got 9",
          {"consumed": 9, "limit": 8, "where": "profiles.sum_profile"}),
         (lambda: sum_profile(SumSpec(cycle3(), (UNBOUNDED,) * 3), 10, budget=5),
-         "BUDGET_EXCEEDED: more than 5 contribution vectors",
-         {"consumed": 6, "limit": 5, "where": "profiles.sum_profile"}),
+         "BUDGET_EXCEEDED: 9 Burnside steps exceed budget 5",
+         {"consumed": 9, "limit": 5, "where": "profiles.sum_profile"}),
         (lambda: stabilized_profile(lambda size: family("c3", size), 6, limit=3),
          "BUDGET_EXCEEDED: no stabilisation up to size 3",
          {"consumed": 3, "limit": 3, "where": "profiles.stabilized_profile"}),

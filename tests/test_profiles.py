@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -212,9 +213,25 @@ class TestProfileCount:
         assert profile_count(family("k", 8), 4) == 4
 
     def test_budget(self):
-        with pytest.raises(TournamentError) as e:
-            profile_count(chain(30), 15, budget=1000)
+        # C(30,15) subsets, but chain(30) keeps at most 16 states of a size
+        assert profile_count(chain(30), 15, budget=1000) == 1
+
+    def test_budget_cuts_a_level_while_it_is_built(self):
+        # almost nothing merges in a random tournament: the census stops
+        # within one parent's children of the budget, at size 4 of 15
+        t = random_tournament(random.Random(30), 30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TournamentError) as e:
+                profile_count(t, 15, budget=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert e.value.code == "BUDGET_EXCEEDED"
+        assert 1000 < e.value.details["consumed"] <= 1030
+        assert e.value.details["limit"] == 1000
+        assert e.value.details["where"] == "profiles.subset_census"
+        assert peak < 5 * 2**20
 
     def test_larger_than_host_is_zero(self):
         assert profile_count(chain(3), 10**9) == 0
@@ -228,11 +245,11 @@ class TestProfileCount:
                 cases.append(family(kind, length))
                 length += 1
         for t in cases:
-            every_size = profiles._subset_codes(t, 0, t.n, 10**6)
+            every_size = list(profiles._subset_codes(t, 0, t.n, 10**6))
             for n in range(t.n + 1):
                 want = oracle_subset_codes(t, n, 10**6)
                 assert every_size[n] == want
-                assert profiles._subset_codes(t, n, n, 10**6)[n] == want
+                assert list(profiles._subset_codes(t, n, n, 10**6))[n] == want
 
     def test_single_size_prunes_prefixes(self, monkeypatch):
         # chain(30) in natural order has one state per (size, start): the
@@ -252,21 +269,30 @@ class TestProfileCount:
             assert profile_count(relabel(chain(30), perm), 28) == 1
 
     def test_budget_errors_match_per_size_census(self):
-        # a size over the budget raises only once every smaller size agreed
+        # a level holds at most C(N, k) states, so the census answers wherever
+        # the per-size oracle does, with its value, and refuses only where it does
         c3, long_chain = family("c3", 4), chain(20)
         pairs = ((c3, long_chain), (chain(3), long_chain), (long_chain, c3), (long_chain, chain(3)), (c3, c3))
         for budget in (300, 2000, 10**4):
             for n_max in (2, 4, 6):
                 for a, b in pairs:
-                    assert outcome(age_leq, a, b, n_max, budget) == outcome(oracle_age_leq, a, b, n_max, budget)
+                    assert_answers_where_oracle_does(outcome(age_leq, a, b, n_max, budget),
+                                                     outcome(oracle_age_leq, a, b, n_max, budget))
                 for t in (c3, long_chain):
                     want = outcome(lambda: tuple(len(oracle_subset_codes(t, n, budget)) for n in range(n_max + 1)))
-                    assert outcome(lambda: profile_sequence(t, n_max, budget).values) == want
+                    assert_answers_where_oracle_does(outcome(lambda: profile_sequence(t, n_max, budget).values), want)
+
+
+def assert_answers_where_oracle_does(got, want):
+    """got equals want, unless the oracle refused for its budget; a refusal
+    in got is then a budget refusal too, as got != want for an answer."""
+    refused = isinstance(want, str) and want.startswith("BUDGET_EXCEEDED")
+    assert got == want or refused and (not isinstance(got, str) or got.startswith("BUDGET_EXCEEDED"))
 
 
 def census_agrees(t, lo, hi, by_size=None):
     """``_subset_codes`` equals the DFS oracle and, if given, the per-size codes."""
-    got = profiles._subset_codes(t, lo, hi, 10**7)
+    got = list(profiles._subset_codes(t, lo, hi, 10**7))
     assert got == oracle_prefix_codes(t, lo, hi, 10**7)
     if by_size is not None:
         assert got == [by_size[k] if k >= lo else set() for k in range(hi + 1)]
@@ -282,11 +308,11 @@ class TestSubsetCensus:
                         census_agrees(t, lo, hi, by_size)
 
     def test_empty_window(self):
-        # age_leq under budget 0 asks for sizes 0..-1 before raising at size 0
+        # an empty window builds nothing; under budget 0 the empty prefix, one state, is refused
         for t in (chain(0), cycle3(), family("k", 4)):
-            assert profiles._subset_codes(t, 0, -1, 0) == oracle_prefix_codes(t, 0, -1, 0) == []
+            assert list(profiles._subset_codes(t, 0, -1, 0)) == oracle_prefix_codes(t, 0, -1, 0) == []
             for b in (chain(3), family("c3", 2)):
-                assert outcome(age_leq, t, b, 3, 0) == outcome(oracle_age_leq, t, b, 3, 0)
+                assert_answers_where_oracle_does(outcome(age_leq, t, b, 3, 0), outcome(oracle_age_leq, t, b, 3, 0))
                 assert outcome(age_leq, t, b, 3, 0).startswith("BUDGET_EXCEEDED")
 
     def test_random_windows(self):
@@ -496,12 +522,6 @@ class TestSumProfile:
                 spec = SumSpec(index, tuple(rng.choice((0, 1, 2, 3, UNBOUNDED)) for _ in range(5)))
                 assert sum_profile_sequence(spec, 10).values == oracle_keyed_sum_profile(spec, range(11))
 
-    def test_vectors_match_recursive_oracle(self):
-        # the budget counts vectors as a coefficient instead of listing them
-        for caps in [(), (0,), (UNBOUNDED,), (2, UNBOUNDED, 0, 1), (1, 1, 1), (UNBOUNDED,) * 4, (3, 0, UNBOUNDED)]:
-            for total in range(8):
-                assert profiles._vector_count(caps, total) == len(list(oracle_bounded_vectors(caps, total)))
-
     def test_huge_sizes_with_few_vectors(self):
         # one long chain among short ones: a handful of vectors at any size
         assert sum_profile(SumSpec(chain(1), (UNBOUNDED,)), 10**9) == 1
@@ -514,14 +534,37 @@ class TestSumProfile:
         # 46,376 contribution vectors: too many to canonize a 30-vertex lex sum for each
         assert sum_profile(SumSpec(witness("T5"), (UNBOUNDED,) * 5), 30) == 4888
 
-    def test_budget_counts_vectors(self):
+    def test_t5_unbounded_at_200(self):
+        # C(204, 4) = 70,058,751 contribution vectors, 78,412 Burnside steps;
+        # the series is the fit's numerator over (1-x)(1-x^2)...(1-x^5)
         spec = SumSpec(witness("T5"), (UNBOUNDED,) * 5)
+        assert sum_profile(spec, 200) == 12_684_819
+        expansion = series_fit(sum_profile_sequence(spec, 40), 5)
+        expansion += [0] * (201 - len(expansion))
+        for i in range(1, 6):
+            for j in range(i, 201):
+                expansion[j] += expansion[j - i]
+        assert sum_profile_sequence(spec, 200).values == tuple(expansion)
+
+    def test_eight_vertex_unbounded_index_at_30(self):
+        # C(37, 7) = 10,295,472 contribution vectors at n = 30
+        spec = SumSpec(random_tournament(random.Random(30), 8), (UNBOUNDED,) * 8)
+        assert sum_profile(spec, 30) == sum_profile_sequence(spec, 30).values[30]
+
+    def test_budget_counts_vectors(self):
+        # the budget counts Burnside steps over the whole call, not vectors:
+        # T5 to 12 takes 300 and cycle3 to 18 takes 318, for 190 vectors at 18
+        t5 = SumSpec(witness("T5"), (UNBOUNDED,) * 5)
+        for spec, n_max, steps in [(t5, 12, 300), (SumSpec(cycle3(), (UNBOUNDED,) * 3), 18, 318)]:
+            want = sum_profile_sequence(spec, n_max).values
+            assert sum_profile_sequence(spec, n_max, budget=steps).values == want
+            with pytest.raises(TournamentError) as e:
+                sum_profile_sequence(spec, n_max, budget=steps - 1)
+            assert str(e.value) == f"BUDGET_EXCEEDED: {steps} Burnside steps exceed budget {steps - 1}"
+            assert e.value.details == {"consumed": steps, "limit": steps - 1, "where": "profiles.sum_profile"}
         with pytest.raises(TournamentError) as e:
-            sum_profile(spec, 30, budget=1000)
-        assert e.value.code == "BUDGET_EXCEEDED"
-        assert str(e.value) == "BUDGET_EXCEEDED: more than 1000 contribution vectors"
-        for n, budget in [(6, 209), (6, 210), (7, 329), (7, 330)]:
-            assert outcome(sum_profile, spec, n, budget) == outcome(oracle_sum_profile, spec, n, budget)
+            sum_profile(t5, 30, budget=1000)
+        assert str(e.value) == "BUDGET_EXCEEDED: 1003 Burnside steps exceed budget 1000"
 
     def test_no_large_canonical_cache_entries(self):
         before = set(core._CANON_CACHE)
@@ -631,6 +674,21 @@ class TestGrowth:
 
 
 class TestStabilized:
+    def test_exact_family_profiles_match(self):
+        # an n-vertex subset meets at most n chain positions, so family(kind, n)
+        # holds every n-vertex type of the kind
+        for kind in KINDS:
+            vals, _ = stabilized_profile(lambda size, k=kind: family(k, size), 9)
+            assert profile_sequence(family(kind, 9), 9).values == tuple(vals)
+
+    def test_exact_c3_profile_to_12(self):
+        # C(36, 12) subsets, at most 8,522 prefix states of one size
+        from tournkit.formulas import C3_RECURRENCE, formula_value
+
+        want = (1, 1, 1, 2, 3, 4, 6, 9, 13, 19, 28, 41, 60)
+        assert tuple(formula_value(C3_RECURRENCE, n) for n in range(13)) == want
+        assert profile_sequence(family("c3", 12), 12).values == want
+
     def test_c3_family(self):
         vals, sizes = stabilized_profile(lambda size: family("c3", size), 9)
         assert list(vals) == [1, 1, 1, 2, 3, 4, 6, 9, 13, 19]

@@ -386,7 +386,8 @@ def oracle_ai_class_counts(size_bound):
         for q in enumerate_tournaments(k):
             if is_acyclically_indecomposable(q):
                 perms = core._group([g for g, _ in core._search(q.rows)[3]], k)
-                for total, orbits in profiles._orbit_counts(perms, [((1, size_bound),) * k], k + 1, size_bound).items():
+                by_total, _ = profiles._orbit_counts(perms, [((1, size_bound),) * k], k + 1, size_bound, 0, 10**6)
+                for total, orbits in by_total.items():
                     reducible[total] += orbits
     return [verify._class_count(s) - reducible[s] for s in range(size_bound + 1)]
 
@@ -418,7 +419,7 @@ class TestClassCounts:
             for q in enumerate_tournaments(k):
                 if is_acyclically_indecomposable(q):
                     perms = core._group([g for g, _ in core._search(q.rows)[3]], k)
-                    for total, orbits in profiles._orbit_counts(perms, [((1, 8),) * k], k, 8).items():
+                    for total, orbits in profiles._orbit_counts(perms, [((1, 8),) * k], k, 8, 0, 10**6)[0].items():
                         counts[total] += orbits
         assert counts == [len(enumerate_tournaments(s)) for s in range(9)]
 
