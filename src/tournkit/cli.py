@@ -173,19 +173,16 @@ def _gen_arguments(p):
     p.add_argument("--desc", action="store_true", help="build over the reversed chain")
     p.add_argument("--checked", action="store_true", help="emit the acyclic-quotient variant")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
 
 
 def _decompose_arguments(p):
     p.add_argument("file")
-    p.set_defaults(func=_cmd_decompose)
 
 
 def _profile_arguments(p):
     p.add_argument("file")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--fit", type=int, help="fit the series against k unbounded chains")
-    p.set_defaults(func=_cmd_profile)
 
 
 def _sum_profile_arguments(p):
@@ -193,19 +190,16 @@ def _sum_profile_arguments(p):
     p.add_argument("--caps", required=True, help="comma list of lengths, 'inf' for unbounded")
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--fit", type=int)
-    p.set_defaults(func=_cmd_sum_profile)
 
 
 def _embed_arguments(p):
     p.add_argument("pattern")
     p.add_argument("host")
-    p.set_defaults(func=_cmd_embed)
 
 
 def _enumerate_arguments(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--filter", choices=("acyclically-indecomposable",))
-    p.set_defaults(func=_cmd_enumerate)
 
 
 def _verify_arguments(p):
@@ -215,22 +209,21 @@ def _verify_arguments(p):
     p.add_argument("--max-chain", type=int, default=5)
     p.add_argument("--n", type=int, default=2, help="chain length for compactness members")
     p.add_argument("--size-bound", type=int, default=8)
-    p.set_defaults(func=_cmd_verify)
 
 
-# command -> (help line, function adding its arguments), in `tournkit --help` order
+# command -> (help line, function adding its arguments, handler), in `tournkit --help` order
 COMMANDS = {
-    "gen": ("generate a family member, witness, or classical tournament", _gen_arguments),
-    "decompose": ("acyclic decomposition of a tournament file", _decompose_arguments),
-    "profile": ("induced subtournament census of a file", _profile_arguments),
-    "sum-profile": ("profile of a sum of chains over an index file", _sum_profile_arguments),
-    "embed": ("search an induced embedding of PATTERN into HOST", _embed_arguments),
-    "enumerate": ("canonical representatives on n vertices", _enumerate_arguments),
-    "verify": ("run a verification suite", _verify_arguments),
+    "gen": ("generate a family member, witness, or classical tournament", _gen_arguments, _cmd_gen),
+    "decompose": ("acyclic decomposition of a tournament file", _decompose_arguments, _cmd_decompose),
+    "profile": ("induced subtournament census of a file", _profile_arguments, _cmd_profile),
+    "sum-profile": ("profile of a sum of chains over an index file", _sum_profile_arguments, _cmd_sum_profile),
+    "embed": ("search an induced embedding of PATTERN into HOST", _embed_arguments, _cmd_embed),
+    "enumerate": ("canonical representatives on n vertices", _enumerate_arguments, _cmd_enumerate),
+    "verify": ("run a verification suite", _verify_arguments, _cmd_verify),
 }
 
 
-def _parser(command=None) -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of one command, or of every command when `command` is None."""
     parser = argparse.ArgumentParser(prog="tournkit", description=__doc__)
     # a one-command parser still names every command in the top-level usage,
@@ -239,21 +232,18 @@ def _parser(command=None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else (command,):
-        help_line, add_arguments = COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_line))
+        help_line, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """Every command's parser, as `tournkit --help` shows it."""
-    return _parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # a call that names its command builds only that command's parser; help,
     # an unknown command or a leading option get the full one
-    parser = _parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         code = args.func(args)

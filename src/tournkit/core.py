@@ -156,27 +156,21 @@ def dual(t: Tournament) -> Tournament:
 def restrict(t: Tournament, vertices) -> Tournament:
     """Induced subtournament on the given vertices, relabeled 0.. in ascending order.
 
-    O(k*min(k, n-k)) big-int steps for k of n vertices kept."""
+    Each gap of dropped vertices, below the first kept one, between two
+    consecutive kept ones or above the last, goes with one shift of the kept
+    rows.  The highest gap goes first, so that the positions below it still
+    hold.  There are at most min(k+1, n-k) gaps for k of n vertices kept, so
+    O(k*min(k+1, n-k)) big-int steps."""
     vs = sorted(set(vertices))
     if vs and not (0 <= vs[0] and vs[-1] < t.n):
         raise TournamentError("OUT_OF_RANGE", f"vertices outside 0..{t.n - 1}")
-    if 2 * len(vs) > t.n:
-        # keeping more than it drops: clear each dropped vertex's bit, the
-        # highest first, so that the lower positions still hold
-        rows, kept = [t.rows[i] for i in vs], set(vs)
-        for d in range(t.n - 1, -1, -1):
-            if d not in kept:
-                low = (1 << d) - 1
-                rows = [r & low | r >> 1 & ~low for r in rows]
-    else:
-        # gather the kept bits one by one
-        rows = []
-        for i in vs:
-            r = t.rows[i]
-            bits = 0
-            for jj, j in enumerate(vs):
-                bits |= ((r >> j) & 1) << jj
-            rows.append(bits)
+    rows, b = [t.rows[i] for i in vs], t.n
+    for a in reversed([-1] + vs):
+        if b - a > 1:
+            # keep the bits up to a, move those from b on down onto the gap a+1..b-1
+            low = (1 << a + 1) - 1
+            rows = [r & low | r >> b - a - 1 & ~low for r in rows]
+        b = a
     return Tournament(len(vs), rows, validate=False)
 
 

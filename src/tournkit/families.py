@@ -77,20 +77,21 @@ def schmerl_trotter(tag: str, h: int) -> Tournament:
     tag "t"/"u": 0..h is a chain for both; h+1..2h is a chain for t and a
     reversed chain for u; for i < h, positions i+1..h beat i+h+1 and i+h+1
     beats 0..i.  tag "v": 0..2h-1 is a chain, odd vertices beat 2h, 2h beats
-    even vertices.
+    even vertices; that is ``family("v", h)`` row for row, which is what it
+    returns.  ``test_schmerl_trotter_matches_edge_list`` ties all three tags
+    to these clauses.
     """
     if tag not in ("t", "u", "v"):
         raise TournamentError("OUT_OF_RANGE", f"unknown tag {tag!r}")
     if h < 2:
         raise TournamentError("H_TOO_SMALL", "need h >= 2")
+    if tag == "v":
+        return family("v", h)
     n = 2 * h + 1
 
     def low(k):  # bits 0..k-1
         return (1 << k) - 1
 
-    if tag == "v":
-        rows = [low(2 * h) ^ low(i + 1) | (i & 1) << 2 * h for i in range(2 * h)] + [int("01" * h, 2)]
-        return Tournament(n, rows)
     # lower vertex i beats i+1..h and h+1..h+i; upper vertex h+1+k beats 0..k
     rows = [low(h + 1) ^ low(i + 1) | low(h + 1 + i) ^ low(h + 1) for i in range(h + 1)]
     for v in range(h + 1, n):

@@ -331,7 +331,11 @@ def _max_length_within(kind: str, host_size: int) -> int:
 
 
 def check_duality(max_chain: int = 5) -> SuiteReport:
-    """Dual family members against the reversed-chain constructions."""
+    """Dual family members against the reversed-chain constructions.
+
+    ``schmerl_trotter("v", h)`` is ``family("v", h)``, so ``classical_v_h2``
+    and ``classical_v_h3`` compare one tournament with itself; they stay so
+    that the report keeps its bytes."""
     if max_chain < 0:
         raise TournamentError("OUT_OF_RANGE", "max chain must be non-negative")
     report = SuiteReport("duality", {"max_chain": max_chain})

@@ -180,7 +180,8 @@ class TestDualRestrict:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 40])
     def test_restrict_matches_bit_gather(self, rng, n):
-        # every size of kept set, so both the gathering and the clearing side
+        # every size of kept set, so from one gap of dropped vertices up to
+        # min(k+1, n-k) of them
         t = random_tournament(rng, n)
         for k in range(n + 1):
             for _ in range(3):
@@ -194,10 +195,27 @@ class TestDualRestrict:
                 sub = rng.sample(range(t.n), k)
                 assert restrict(t, sub).rows == oracle_restrict_rows(t, sub)
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_restrict_matches_bit_gather_on_every_kept_set(self, rng, n):
+        # each kept set is a distinct pattern of gaps
+        t = random_tournament(rng, n)
+        for mask in range(1 << n):
+            sub = [v for v in range(n) if mask >> v & 1]
+            assert restrict(t, sub).rows == oracle_restrict_rows(t, sub)
+
+    def test_restrict_matches_bit_gather_at_320(self, rng):
+        # one vertex, all but one and all: one or two gaps, each up to 319 wide
+        n = 320
+        t = random_tournament(rng, n)
+        for v in (0, 1, 160, n - 2, n - 1):
+            for sub in ([v], [u for u in range(n) if u != v]):
+                assert restrict(t, sub).rows == oracle_restrict_rows(t, sub)
+        assert restrict(t, range(n)).rows == oracle_restrict_rows(t, range(n)) == t.rows
+
 
 def oracle_restrict_rows(t: Tournament, vertices) -> tuple[int, ...]:
-    """The bit-by-bit gather that ``restrict`` keeps for small kept sets,
-    used on every kept set."""
+    """The kept bits gathered one by one, the reference for the gap shifts of
+    ``restrict`` on every kept set."""
     vs = sorted(set(vertices))
     return tuple(sum(((t.rows[i] >> j) & 1) << jj for jj, j in enumerate(vs)) for i in vs)
 
