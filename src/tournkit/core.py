@@ -297,13 +297,16 @@ def _search(rows: tuple[int, ...]):
     order, one block of all-ones low bits per cell, as many as the candidate
     beats there, so the least rows are found by keeping, cell by cell, the
     candidates that beat the fewest, until one is left or the cells run out;
-    the row is then built once.  Once every cell is a single vertex the rest
-    of the labeling is fixed, and its rows are emitted in one loop.  A node
-    above the best code and off the first leaf's code is cut.  A leaf equal
-    to the first or best leaf gives an automorphism generator and a jump back
-    to the two leaves' common ancestor.  A candidate in the orbit of an
-    explored sibling under the generators fixing the placed vertices is skipped
-    (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    one loop over the cells then builds that row and the first candidate's
+    split, which its child uses.  A lone candidate is placed in the same
+    frame, which goes on with its split; every return truncates the rows and
+    vertices back to the frame's start depth.  Once every cell is a single
+    vertex the rest of the labeling is fixed, and its rows are emitted in one
+    loop.  A node above the best code and off the first leaf's code is cut.  A
+    leaf equal to the first or best leaf gives an automorphism generator and a
+    jump back to the two leaves' common ancestor.  A candidate in the orbit of
+    an explored sibling under the generators fixing the placed vertices is
+    skipped (McKay & Piperno, "Practical graph isomorphism, II", 2014).
     """
     n = len(rows)
     first = best = first_order = best_order = None
@@ -314,7 +317,44 @@ def _search(rows: tuple[int, ...]):
     def rec(cells, d, placed, same_first, vs_best):
         # same_first: prefix equals the first leaf's; vs_best: sign of prefix - best
         nonlocal first, best, first_order, best_order
-        if len(cells) == n - d:  # discrete: the rest of the labeling is fixed
+        start = d  # lone candidates are placed in this frame; every return truncates back here
+        while len(cells) < n - d:
+            head, rest = cells[0], cells[1:]
+            targets = head  # filtered cell by cell to the least count of out-neighbours
+            for c in cells:
+                if not targets & (targets - 1):
+                    break
+                least, m = n, targets
+                while m:
+                    low = m & -m
+                    m ^= low
+                    k = (c & rows[low.bit_length() - 1]).bit_count()
+                    if k < least:
+                        least, targets = k, low
+                    elif k == least:
+                        targets |= low
+            low = targets & -targets
+            rv, low_row, split = rows[low.bit_length() - 1], 0, []
+            for c in (head ^ low, *rest):  # the least row and the first candidate's split
+                win = c & rv
+                low_row = (low_row << c.bit_count()) | ((1 << win.bit_count()) - 1)
+                if c != win:
+                    split.append(c ^ win)
+                if win:
+                    split.append(win)
+            if first is not None:
+                same_first = same_first and low_row == first[d]
+                if vs_best == 0:
+                    vs_best = (low_row > best[d]) - (low_row < best[d])
+                if vs_best > 0 and not same_first:
+                    del cur[start:], order[start:]
+                    return n
+            cur.append(low_row)
+            if targets != low:
+                break
+            order.append(low.bit_length() - 1)
+            cells, d, placed = split, d + 1, placed | low
+        else:  # discrete: the rest of the labeling is fixed
             vs = [c.bit_length() - 1 for c in cells]
             for i, v in enumerate(vs):
                 rv, row = rows[v], 0
@@ -325,7 +365,7 @@ def _search(rows: tuple[int, ...]):
                     if vs_best == 0:
                         vs_best = (row > best[d + i]) - (row < best[d + i])
                     if vs_best > 0 and not same_first:
-                        del cur[d:]
+                        del cur[start:], order[start:]
                         return n
                 cur.append(row)
             order.extend(vs)
@@ -339,53 +379,29 @@ def _search(rows: tuple[int, ...]):
                 best, best_order = cur.copy(), order.copy()
                 if first is None:
                     first, first_order = best, best_order
-            del cur[d:], order[d:]
+            del cur[start:], order[start:]
             return jump
-        head, rest = cells[0], cells[1:]
-        targets = head  # filtered cell by cell to the least count of out-neighbours
-        for c in cells:
-            if not targets & (targets - 1):
-                break
-            least, m = n, targets
-            while m:
-                low = m & -m
-                m ^= low
-                k = (c & rows[low.bit_length() - 1]).bit_count()
-                if k < least:
-                    least, targets = k, low
-                elif k == least:
-                    targets |= low
-        rv, low_row = rows[(targets & -targets).bit_length() - 1], 0
-        for c in cells:
-            low_row = (low_row << c.bit_count()) | ((1 << (c & rv).bit_count()) - 1)
-        if first is not None:
-            same_first = same_first and low_row == first[d]
-            if vs_best == 0:
-                vs_best = (low_row > best[d]) - (low_row < best[d])
-            if vs_best > 0 and not same_first:
-                return n
-        cur.append(low_row)
         explored = orbits = 0
         seen, jump = -1, n  # a jump to depth d or deeper resumes the loop here
         while targets and jump >= d:
             low = targets & -targets
             targets ^= low
-            if explored and seen != len(gens):
-                seen = len(gens)
-                orbits = _orbit(explored, [g for g, moved in gens if not moved & placed])
-            if low & orbits:
-                continue
-            v = low.bit_length() - 1
-            rv = rows[v]
-            newcells = [x for c in (head ^ low, *rest) for x in (c & ~rv, c & rv) if x]
+            if explored:  # the first candidate's split was built with the least row
+                if seen != len(gens):
+                    seen = len(gens)
+                    orbits = _orbit(explored, [g for g, moved in gens if not moved & placed])
+                if low & orbits:
+                    continue
+                rv = rows[low.bit_length() - 1]
+                split = [x for c in (head ^ low, *rest) for x in (c & ~rv, c & rv) if x]
             before = best
-            order.append(v)
-            jump = rec(newcells, d + 1, placed | low, same_first, vs_best)
+            order.append(low.bit_length() - 1)
+            jump = rec(split, d + 1, placed | low, same_first, vs_best)
             order.pop()
             if best is not before:  # a new best below shares this prefix
                 vs_best = 0
             explored, orbits, seen = explored | low, orbits | low, -1
-        cur.pop()
+        del cur[start:], order[start:]
         return jump
 
     rec([(1 << n) - 1] if n else [], 0, 0, True, -1)
@@ -413,6 +429,10 @@ def tournament_from_code(code: CanonicalCode) -> Tournament:
     n = code.n
     rows = [0] * n
     pos = n * (n - 1) // 2
+    if n < 0:
+        raise TournamentError("OUT_OF_RANGE", "negative vertex count")
+    if code.bits < 0 or code.bits >> pos:
+        raise TournamentError("OUT_OF_RANGE", f"code bits outside 0..2**{pos}-1 for n={n}")
     for i in range(n):
         for j in range(i + 1, n):
             pos -= 1

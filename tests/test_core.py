@@ -686,10 +686,11 @@ class TestSearchOracle:
     labeling and generators, ``automorphism_count`` the first leaf and the
     generators."""
 
-    def test_all_classes_up_to_7(self, rng):
-        for n in range(8):
+    def test_all_classes_up_to_8(self, rng):
+        # two relabelings of each class below 8 vertices, one of each of the 6,880 on 8
+        for n in range(9):
             for t in enumerate_tournaments(n):
-                for u in (t, relabeled(t, rng), relabeled(t, rng)):
+                for u in (t, *(relabeled(t, rng) for _ in range(2 if n < 8 else 1))):
                     assert _search(u.rows) == oracle_search(u.rows)
 
     @settings(max_examples=60, deadline=None)
@@ -703,8 +704,15 @@ class TestSearchOracle:
             for u in (family(kind, length), relabeled(family(kind, length), rng)):
                 assert _search(u.rows) == oracle_search(u.rows), (kind, length)
 
-    @pytest.mark.parametrize("t", [paley(19), paley(31), paley(43), family("c3", 20), family("t", 20)],
-                             ids=["paley19", "paley31", "paley43", "c3_20", "t20"])
+    # a relabeling changes which nodes have a single candidate; t20 and c3_12
+    # are the bench's automorphism and canonical-form inputs
+    @pytest.mark.parametrize(
+        "t",
+        [paley(19), paley(31), paley(43), family("c3", 20), family("t", 20),
+         *(relabeled(family(kind, length), random.Random(seed)) for kind, length in (("t", 20), ("c3", 12))
+           for seed in (1, 2))],
+        ids=["paley19", "paley31", "paley43", "c3_20", "t20",
+             "t20_relabeled1", "t20_relabeled2", "c3_12_relabeled1", "c3_12_relabeled2"])
     def test_symmetric_objects(self, t):
         assert _search(t.rows) == oracle_search(t.rows)
 

@@ -4,7 +4,17 @@ check, which the file loader and the skew product also rely on."""
 
 import pytest
 
-from tournkit.core import ChainSpec, Tournament, TournamentError, cycle3, make_tournament, relabel, skew_product
+from tournkit.core import (
+    CanonicalCode,
+    ChainSpec,
+    Tournament,
+    TournamentError,
+    cycle3,
+    make_tournament,
+    relabel,
+    skew_product,
+    tournament_from_code,
+)
 from tournkit.decomp import is_autonomous, is_monomorphic_part_oracle, separated
 from tournkit.families import family, family_size, schmerl_trotter
 from tournkit.formulas import a000930_floor_form, partition_count
@@ -29,6 +39,9 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: skew_product(ChainSpec(2), {"h0", "x9"}), "OUT_OF_RANGE: unknown generator 'x9'"),
         (lambda: skew_product(ChainSpec(2), {"v1"}), "NOT_A_TOURNAMENT: generator covers no pair"),
         (lambda: relabel(cycle3(), [0, 0, 1]), "OUT_OF_RANGE: not a permutation of the vertices"),
+        (lambda: tournament_from_code(CanonicalCode(-1, 0)), "OUT_OF_RANGE: negative vertex count"),
+        (lambda: tournament_from_code(CanonicalCode(3, -1)), "OUT_OF_RANGE: code bits outside 0..2**3-1 for n=3"),
+        (lambda: tournament_from_code(CanonicalCode(3, 1 << 10)), "OUT_OF_RANGE: code bits outside 0..2**3-1 for n=3"),
         (lambda: family("z", 2), "OUT_OF_RANGE: unknown family kind 'z'"),
         (lambda: family_size("z", 3), "OUT_OF_RANGE: unknown family kind 'z'"),
         (lambda: schmerl_trotter("w", 3), "OUT_OF_RANGE: unknown tag 'w'"),
@@ -43,7 +56,8 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: a000930_floor_form(-1), "DOMAIN: defined for n >= 0"),
     ],
     ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "orientation",
-         "make_negative_n", "unknown_generator", "position_one_pair", "relabel", "family_kind",
+         "make_negative_n", "unknown_generator", "position_one_pair", "relabel", "code_negative_n",
+         "code_negative_bits", "code_too_wide", "family_kind",
          "family_size_kind", "st_tag", "separated", "is_autonomous", "monomorphic_oracle", "enumerate",
          "age_leq_n_max", "fit_k",
          "fit_zero_tail", "partition_count", "floor_form"],
