@@ -222,35 +222,37 @@ def _resolve_generator(token: str):
     return (q, p) if inv else (p, q)
 
 
-def skew_product(spec: ChainSpec, x_set) -> Tournament:
-    """Two copies of a chain, glued by the orientation rules selected in x_set.
+def _pattern(spec: ChainSpec, levels: int, rules) -> Tournament:
+    """A chain of copies of a levels-vertex pattern; (position x, level i) is levels*x + i.
 
-    Vertex (chain position x, level i) gets index 2*x + i.  Each x_set entry
-    ((s,i),(t,j)) orients pairs by position: s=t=0 means the within-position
-    pair (levels i,j of one x), s=0,t=1 means pairs where the first position
-    precedes the second in the chain, s=1,t=0 the reverse.  The selection must
-    orient every pair exactly once, or NOT_A_TOURNAMENT is raised naming a
-    pair that a repeated token orients twice, or else the first pair that
-    ``Tournament`` finds missing or doubled.
-    """
+    Rule ((s,i),(t,j)) makes (x,i) beat level j at x itself (s=t=0), at the
+    positions x precedes (s=0,t=1) or at those preceding x (s=1,t=0).  A pair
+    that two rules orient raises NOT_A_TOURNAMENT, naming it."""
+    if spec.orientation == DESCENDING:
+        # x precedes y iff x > y: the cross rules of the ascending chain, reversed
+        rules = [((t, i), (s, j)) for (s, i), (t, j) in rules]
+    rows = [0] * levels * spec.length
+    level0 = sum(1 << v for v in range(0, len(rows), levels))
+    for x in range(spec.length):
+        below, above = (1 << levels * x) - 1, -1 << levels * (x + 1)
+        reach = {(0, 0): ~(below | above), (0, 1): above, (1, 0): below}
+        for (s, i), (t, j) in rules:
+            targets = reach[s, t] & level0 << j
+            if twice := rows[levels * x + i] & targets:
+                # a repeated rule; the OR below would hide it
+                a, b = sorted((levels * x + i, (twice & -twice).bit_length() - 1))
+                raise TournamentError("NOT_A_TOURNAMENT", f"pair ({a},{b}) is oriented twice", {"pair": (a, b)})
+            rows[levels * x + i] |= targets
+    return Tournament(len(rows), rows)
+
+
+def skew_product(spec: ChainSpec, x_set) -> Tournament:
+    """Two copies of a chain: ``_pattern`` at two levels, x_set's tokens naming rules that orient each pair once."""
     pairs = [_resolve_generator(tok) for tok in sorted(x_set)]
     if any(s and t for (s, _), (t, _) in pairs):
         # both components at position 1 can never match a concrete pair
         raise TournamentError("NOT_A_TOURNAMENT", "generator covers no pair")
-    c = chain_tournament(spec)
-    rows = [0] * (2 * spec.length)
-    for x in range(spec.length):
-        # the positions paired with x: x itself, those x precedes, those preceding x
-        reach = {(0, 0): 1 << x, (0, 1): c.rows[x], (1, 0): c.in_mask(x)}
-        for (s, i), (t, j) in pairs:
-            # joining the binary digits with "0" moves bit y to bit 2*y
-            targets = int("0".join(format(reach[s, t], "b")), 2) << j
-            if twice := rows[2 * x + i] & targets:
-                # a repeated token; the OR below would hide it
-                a, b = sorted((2 * x + i, (twice & -twice).bit_length() - 1))
-                raise TournamentError("NOT_A_TOURNAMENT", f"pair ({a},{b}) is oriented twice", {"pair": (a, b)})
-            rows[2 * x + i] |= targets
-    return Tournament(2 * spec.length, rows)
+    return _pattern(spec, 2, pairs)
 
 
 def is_acyclic(t: Tournament) -> bool:

@@ -1,7 +1,7 @@
 """The six chain-indexed families, their checked quotients, and small witnesses.
 
 Reversal lemma: sending vertex w*x + i of ``family(kind, L)`` to
-w*(L-1-x) + i (w = 3 for ``c3``, 2 otherwise), with ``v``'s apex 2L kept,
+w*(L-1-x) + i (w = the kind's levels), with ``v``'s apex 2L kept,
 maps it onto ``family(kind, descending(L))``.  Proof: each rule orienting a
 pair reads only the two levels and the order of the two chain positions,
 and reversing the chain reverses that order.  A finite subset of the omega-
@@ -17,11 +17,11 @@ from .core import (
     ChainSpec,
     Tournament,
     TournamentError,
+    _pattern,
+    _resolve_generator,
     chain,
-    chain_tournament,
     cycle3,
     lex_sum,
-    skew_product,
 )
 from .decomp import acyclic_components
 
@@ -33,6 +33,15 @@ X_SETS = {
     "u": frozenset({"d0", "d1", "h1^-1"}) | _Y,
     "h": frozenset({"d0^-1", "d1", "h1"}) | _Y,
     "k": frozenset({"d0^-1", "d1", "h1^-1"}) | _Y,
+}
+
+
+# kind -> (levels, rules) of ``core._pattern``.  c3: a 3-cycle at each position; v: a
+# 2-chain (``family`` adds the apex); both beat every later position.  t, u, h, k: X_SETS.
+_PATTERNS = {
+    "c3": (3, [((0, i), (0, (i + 1) % 3)) for i in range(3)] + [((0, i), (1, j)) for i in range(3) for j in range(3)]),
+    **{kind: (2, [_resolve_generator(tok) for tok in sorted(x)])
+       for kind, x in {**X_SETS, "v": {"v0", "h0", "h1", "d0", "d1"}}.items()},
 }
 
 
@@ -49,21 +58,12 @@ def family(kind: str, c) -> Tournament:
         raise TournamentError("OUT_OF_RANGE", f"unknown family kind {kind!r}")
     if spec.length < 1:
         raise TournamentError("EMPTY_CHAIN", "family chains need at least one vertex")
-    if kind == "c3":
-        return lex_sum(chain_tournament(spec), [cycle3()] * spec.length)
+    member = _pattern(spec, *_PATTERNS[kind])
     if kind == "v":
-        return _v_family(spec)
-    return skew_product(spec, X_SETS[kind])
-
-
-def _v_family(spec: ChainSpec) -> Tournament:
-    """Two stacked chains plus an apex fed by the upper level and feeding the lower."""
-    length = spec.length
-    stacked = lex_sum(chain_tournament(spec), [chain(2)] * length)
-    apex = 1 << 2 * length
-    # odd (upper) vertices beat the apex, which beats the even (lower) ones
-    rows = [r | apex * (v & 1) for v, r in enumerate(stacked.rows)] + [int("01" * length, 2)]
-    return Tournament(2 * length + 1, rows)
+        # the upper (odd) vertices beat the apex 2L, which beats the lower ones
+        rows = [r | (v & 1) << member.n for v, r in enumerate(member.rows)] + [int("01" * spec.length, 2)]
+        return Tournament(member.n + 1, rows)
+    return member
 
 
 def checked_family(kind: str, c) -> Tournament:
@@ -132,11 +132,9 @@ def witness_family(name: str) -> str:
 def family_size(kind: str, length: int) -> int:
     if kind not in KINDS:
         raise TournamentError("OUT_OF_RANGE", f"unknown family kind {kind!r}")
-    if kind == "c3":
-        return 3 * length
-    if kind == "v":
-        return 2 * length + 1
-    return 2 * length
+    if length < 0:
+        raise TournamentError("OUT_OF_RANGE", "chain length must be non-negative")
+    return _PATTERNS[kind][0] * length + (kind == "v")
 
 
 def descending(length: int) -> ChainSpec:

@@ -539,6 +539,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "decomposition", "--n-max", "4")
         assert code == 0
 
+    @pytest.mark.parametrize("n_max", ["0", "1", "2"])
+    def test_formulas_pass_at_the_smallest_bounds(self, capsys, n_max):
+        code, out, _ = run(capsys, "verify", "--suite", "formulas", "--n-max", n_max)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
     def test_compactness_deterministic_output(self, capsys):
         code1, out1, _ = run(capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "5")
         code2, out2, _ = run(capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "5")

@@ -3,11 +3,11 @@
 Each ``oracle_*`` below is the earlier construction: it lists every oriented
 pair and lets ``make_tournament`` check the list.  The row builders must give
 the same rows tuple, or raise an error with the same code, on every family
-kind, every Schmerl-Trotter tag, every witness and every small skew-product
-selection."""
+kind, every Schmerl-Trotter tag, every witness, every small skew-product
+selection and every three-level chain pattern."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -15,6 +15,7 @@ from tournkit.core import (
     ChainSpec,
     Tournament,
     TournamentError,
+    _pattern,
     _resolve_generator,
     block_offsets,
     chain,
@@ -56,24 +57,30 @@ def oracle_lex_sum(d: Tournament, blocks) -> Tournament:
     return Tournament(total, rows, validate=False)
 
 
-def oracle_skew_product(spec: ChainSpec, x_set) -> Tournament:
-    pairs = [_resolve_generator(tok) for tok in sorted(x_set)]
+def oracle_pattern(spec: ChainSpec, levels: int, rules) -> Tournament:
+    """Vertex (x, i) is levels*x + i; each rule lists the pairs it orients."""
     length = spec.length
     c = chain_tournament(spec)
     edges = []
-    for (s, i), (t, j) in pairs:
+    for (s, i), (t, j) in rules:
         if s == 0 and t == 0:
-            edges.extend(((2 * x + i, 2 * x + j) for x in range(length)))
+            edges.extend(((levels * x + i, levels * x + j) for x in range(length)))
         elif s == 0 and t == 1:
-            edges.extend((2 * x + i, 2 * y + j) for x in range(length) for y in range(length) if c.edge(x, y))
+            edges.extend((levels * x + i, levels * y + j)
+                         for x in range(length) for y in range(length) if c.edge(x, y))
         elif s == 1 and t == 0:
-            edges.extend((2 * x + i, 2 * y + j) for x in range(length) for y in range(length) if c.edge(y, x))
+            edges.extend((levels * x + i, levels * y + j)
+                         for x in range(length) for y in range(length) if c.edge(y, x))
         else:
             raise TournamentError("NOT_A_TOURNAMENT", "generator covers no pair")
     try:
-        return make_tournament(2 * length, edges)
+        return make_tournament(levels * length, edges)
     except TournamentError as exc:
         raise TournamentError("NOT_A_TOURNAMENT", f"selection does not orient every pair once ({exc.code})") from exc
+
+
+def oracle_skew_product(spec: ChainSpec, x_set) -> Tournament:
+    return oracle_pattern(spec, 2, [_resolve_generator(tok) for tok in sorted(x_set)])
 
 
 def oracle_v_family(spec: ChainSpec) -> Tournament:
@@ -193,6 +200,19 @@ def test_skew_product_matches_edge_list_with_a_repeated_token(length, orientatio
                 doubled = x_set + (token,)
                 got = outcome(lambda: skew_product(spec, doubled))
                 assert got == outcome(lambda: oracle_skew_product(spec, doubled)), doubled
+
+
+@pytest.mark.parametrize("orientation", ORIENTATIONS)
+def test_pattern_matches_edge_list_on_every_three_level_rule_set(orientation):
+    """Each of the 3 within pairs and the 9 cross pairs of levels, in either
+    direction: 4,096 rule sets, each orienting every pair of a length-3 chain
+    of 3-vertex patterns once."""
+    spec = ChainSpec(3, orientation)
+    within = [((0, i), (0, j)) for i, j in combinations(range(3), 2)]
+    cross = [((0, i), (1, j)) for i in range(3) for j in range(3)]
+    for flips in product((False, True), repeat=len(within) + len(cross)):
+        rules = [(q, p) if flip else (p, q) for (p, q), flip in zip(within + cross, flips)]
+        assert _pattern(spec, 3, rules).rows == oracle_pattern(spec, 3, rules).rows, rules
 
 
 @pytest.mark.parametrize("seed", range(3))

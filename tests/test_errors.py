@@ -44,6 +44,7 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: tournament_from_code(CanonicalCode(3, 1 << 10)), "OUT_OF_RANGE: code bits outside 0..2**3-1 for n=3"),
         (lambda: family("z", 2), "OUT_OF_RANGE: unknown family kind 'z'"),
         (lambda: family_size("z", 3), "OUT_OF_RANGE: unknown family kind 'z'"),
+        (lambda: family_size("c3", -1), "OUT_OF_RANGE: chain length must be non-negative"),
         (lambda: schmerl_trotter("w", 3), "OUT_OF_RANGE: unknown tag 'w'"),
         (lambda: separated(cycle3(), 0, 3), "OUT_OF_RANGE: pair (0,3) outside 0..2"),
         (lambda: is_autonomous(cycle3(), [3]), "OUT_OF_RANGE: vertex 3 outside 0..2"),
@@ -58,8 +59,8 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
     ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "orientation",
          "make_negative_n", "unknown_generator", "position_one_pair", "relabel", "code_negative_n",
          "code_negative_bits", "code_too_wide", "family_kind",
-         "family_size_kind", "st_tag", "separated", "is_autonomous", "monomorphic_oracle", "enumerate",
-         "age_leq_n_max", "fit_k",
+         "family_size_kind", "family_size_length", "st_tag", "separated", "is_autonomous", "monomorphic_oracle",
+         "enumerate", "age_leq_n_max", "fit_k",
          "fit_zero_tail", "partition_count", "floor_form"],
 )
 def test_input_check(call, message):

@@ -256,6 +256,11 @@ class TestProfileSuite:
         rep = check_profile_formulas(7)
         assert rep.passed
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_passes_at_the_smallest_bounds(self, n_max):
+        # the k closed form starts at n = 2; below it only the values present are checked
+        assert check_profile_formulas(n_max).passed
+
     def test_budget_guard(self):
         with pytest.raises(TournamentError) as e:
             check_profile_formulas(10)
@@ -276,6 +281,12 @@ class TestIncomparabilitySuite:
         assert len(rep.checks) == 36
         host_lengths = [max(n for n in range(1, 22) if family_size(kind, n) <= 21) for kind in KINDS]
         assert min(host_lengths) >= max(witness(name).n for name in verify.WITNESS_NAMES)
+
+    def test_host_length_is_the_longest_member_within_the_host_size(self):
+        for kind in KINDS:
+            for host_size in range(41):
+                longest = max((n for n in range(host_size + 1) if family_size(kind, n) <= host_size), default=0)
+                assert verify._max_length_within(kind, host_size) == longest, (kind, host_size)
 
     def test_one_host_search_per_witness_and_foreign_kind(self, monkeypatch):
         # one host per kind: 6 witnesses x 5 foreign kinds
