@@ -18,6 +18,7 @@ class TournamentError(ValueError):
         self.details = {} if details is None else details
 
 
+@dataclass(init=False, unsafe_hash=True, slots=True)
 class Tournament:
     """Tournament on vertices 0..n-1; rows[i] is the out-neighbour bitmask of i.
 
@@ -26,7 +27,8 @@ class Tournament:
     ``validate=False`` is the caller's promise that the rows form a
     tournament, since only then does that identity hold."""
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
     def __init__(self, n: int, rows, validate: bool = True):
         self.n = n
@@ -67,15 +69,6 @@ class Tournament:
     def in_mask(self, i: int) -> int:
         """Bitmask of the vertices that beat i."""
         return ((1 << self.n) - 1) ^ self.rows[i] ^ 1 << i
-
-    def __eq__(self, other):
-        return isinstance(other, Tournament) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
-    def __repr__(self):
-        return f"Tournament(n={self.n}, rows={self.rows!r})"
 
 
 @dataclass(frozen=True, order=True)
@@ -222,8 +215,8 @@ def _resolve_generator(token: str):
     return (q, p) if inv else (p, q)
 
 
-def _pattern(spec: ChainSpec, levels: int, rules) -> Tournament:
-    """A chain of copies of a levels-vertex pattern; (position x, level i) is levels*x + i.
+def _pattern(spec: ChainSpec, levels: int, rules) -> list[int]:
+    """Rows of a chain of copies of a levels-vertex pattern; (position x, level i) is levels*x + i.
 
     Rule ((s,i),(t,j)) makes (x,i) beat level j at x itself (s=t=0), at the
     positions x precedes (s=0,t=1) or at those preceding x (s=1,t=0).  A pair
@@ -243,7 +236,7 @@ def _pattern(spec: ChainSpec, levels: int, rules) -> Tournament:
                 a, b = sorted((levels * x + i, (twice & -twice).bit_length() - 1))
                 raise TournamentError("NOT_A_TOURNAMENT", f"pair ({a},{b}) is oriented twice", {"pair": (a, b)})
             rows[levels * x + i] |= targets
-    return Tournament(len(rows), rows)
+    return rows
 
 
 def skew_product(spec: ChainSpec, x_set) -> Tournament:
@@ -252,7 +245,7 @@ def skew_product(spec: ChainSpec, x_set) -> Tournament:
     if any(s and t for (s, _), (t, _) in pairs):
         # both components at position 1 can never match a concrete pair
         raise TournamentError("NOT_A_TOURNAMENT", "generator covers no pair")
-    return _pattern(spec, 2, pairs)
+    return Tournament(2 * spec.length, _pattern(spec, 2, pairs))
 
 
 def is_acyclic(t: Tournament) -> bool:
@@ -264,6 +257,7 @@ def is_acyclic(t: Tournament) -> bool:
 # canonical form
 
 _CANON_CACHE: dict[tuple[int, ...], int] = {}
+_CANON_CACHE_MAX = 1 << 17
 
 
 def _orbit(mask: int, gens) -> int:
@@ -415,8 +409,10 @@ def _search(rows: tuple[int, ...]):
 
 def _cached_bits(rows: tuple[int, ...]) -> int:
     """Minimal row-major upper-triangle code over all relabelings, through
-    ``_CANON_CACHE``, keyed by the rows tuple."""
+    ``_CANON_CACHE``, keyed by the rows tuple and cleared in place when full."""
     if rows not in _CANON_CACHE:
+        if len(_CANON_CACHE) >= _CANON_CACHE_MAX:
+            _CANON_CACHE.clear()
         _CANON_CACHE[rows] = _search(rows)[0]
     return _CANON_CACHE[rows]
 

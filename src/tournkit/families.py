@@ -12,7 +12,6 @@ infinite tournaments have six ages, one per kind.
 from __future__ import annotations
 
 from .core import (
-    ASCENDING,
     DESCENDING,
     ChainSpec,
     Tournament,
@@ -45,25 +44,18 @@ _PATTERNS = {
 }
 
 
-def _as_spec(c) -> ChainSpec:
-    if isinstance(c, ChainSpec):
-        return c
-    return ChainSpec(int(c), ASCENDING)
-
-
 def family(kind: str, c) -> Tournament:
     """Member of one of the six families over the given finite chain."""
-    spec = _as_spec(c)
+    spec = c if isinstance(c, ChainSpec) else ChainSpec(int(c))
     if kind not in KINDS:
         raise TournamentError("OUT_OF_RANGE", f"unknown family kind {kind!r}")
     if spec.length < 1:
         raise TournamentError("EMPTY_CHAIN", "family chains need at least one vertex")
-    member = _pattern(spec, *_PATTERNS[kind])
+    rows = _pattern(spec, *_PATTERNS[kind])
     if kind == "v":
         # the upper (odd) vertices beat the apex 2L, which beats the lower ones
-        rows = [r | (v & 1) << member.n for v, r in enumerate(member.rows)] + [int("01" * spec.length, 2)]
-        return Tournament(member.n + 1, rows)
-    return member
+        rows = [r | (v & 1) << len(rows) for v, r in enumerate(rows)] + [int("01" * spec.length, 2)]
+    return Tournament(len(rows), rows)
 
 
 def checked_family(kind: str, c) -> Tournament:

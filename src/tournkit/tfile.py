@@ -43,8 +43,6 @@ def loads(text: str) -> Tournament:
     try:
         return Tournament(n, [int(line[::-1], 2) for _, line in rows_text])
     except TournamentError as exc:
-        if exc.code != "NOT_A_TOURNAMENT":
-            raise
         i, j = exc.details["pair"]
         raise TournamentError("BAD_FILE", f"line {rows_text[j][0]}: pair ({i},{j}) must be oriented exactly once") from None
 

@@ -241,8 +241,8 @@ def _check_one_decomposition(t: Tournament, report: SuiteReport, with_oracle: bo
 
 def check_decomposition(n_max: int, samples_per_size: int = 25, seed: int = 20260814) -> SuiteReport:
     """Decomposition laws, exhaustive to min(n_max, 6) and sampled above."""
-    if n_max < 0:
-        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
+    if n_max < 1:
+        raise TournamentError("OUT_OF_RANGE", "n_max must be at least 1")
     if samples_per_size < 0:
         raise TournamentError("OUT_OF_RANGE", "samples_per_size must be non-negative")
     report = SuiteReport("decomposition", {"n_max": n_max, "samples_per_size": samples_per_size}, seed=seed)
@@ -304,7 +304,8 @@ def check_incomparability(host_size: int = 14) -> SuiteReport:
     tournament meets at most m chain positions, so it lies in a kind's age
     iff it embeds in ``family(kind, m)``.  From host size 21 every host's
     chain is at least as long as every witness has vertices, and the suite
-    checks the ages exactly.
+    checks the ages exactly.  A kind with no member within ``host_size``
+    vertices has no host and no avoidance check.
     """
     if host_size < 0:
         raise TournamentError("OUT_OF_RANGE", "host size must be non-negative")
@@ -316,8 +317,8 @@ def check_incomparability(host_size: int = 14) -> SuiteReport:
         # the shortest ascending member of its own family that hosts it, 0 if none up to 12
         length = next((n for n in range(1, 13) if embeds(w, family(own, n))), 0)
         report.add(f"{name}_in_own_{own}", length > 0, chain_length=length)
-        for kind in (k for k in KINDS if k != own):
-            hit = lengths[kind] if kind in hosts and embeds(w, hosts[kind]) else None
+        for kind in (k for k in hosts if k != own):
+            hit = lengths[kind] if embeds(w, hosts[kind]) else None
             report.add(f"{name}_avoids_{kind}", hit is None, hit=hit)
             if hit is not None:
                 report.counterexample(f"{name}_avoids_{kind}", w, host=[kind, hit])

@@ -603,6 +603,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "OUT_OF_RANGE" in err
 
+    def test_decomposition_refuses_n_max_0(self, capsys):
+        # the suite makes no check below n_max 1
+        code, out, err = run(capsys, "verify", "--suite", "decomposition", "--n-max", "0")
+        assert code == 2
+        assert out == ""
+        assert "OUT_OF_RANGE: n_max must be at least 1" in err
+
     @pytest.mark.parametrize(
         "suite, check, argv, expect",
         [

@@ -212,7 +212,7 @@ def test_pattern_matches_edge_list_on_every_three_level_rule_set(orientation):
     cross = [((0, i), (1, j)) for i in range(3) for j in range(3)]
     for flips in product((False, True), repeat=len(within) + len(cross)):
         rules = [(q, p) if flip else (p, q) for (p, q), flip in zip(within + cross, flips)]
-        assert _pattern(spec, 3, rules).rows == oracle_pattern(spec, 3, rules).rows, rules
+        assert tuple(_pattern(spec, 3, rules)) == oracle_pattern(spec, 3, rules).rows, rules
 
 
 @pytest.mark.parametrize("seed", range(3))

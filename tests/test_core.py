@@ -88,6 +88,16 @@ class TestConstruction:
             make_tournament(2, [(0, 2), (0, 1)])
         assert e.value.code == "OUT_OF_RANGE"
 
+    def test_value_methods(self):
+        t = Tournament(3, [2, 4, 1])
+        assert repr(t) == "Tournament(n=3, rows=(2, 4, 1))"
+        assert t == cycle3() and not t != cycle3()
+        assert t != dual(t) and t != Tournament(2, (2, 0)) and t != (3, (2, 4, 1))
+        assert hash(t) == hash((3, (2, 4, 1))) == hash(cycle3())
+        assert {t, cycle3(), dual(t), dual(dual(t))} == {t, dual(t)}
+        assert t in {cycle3()} and dual(t) not in {cycle3()}
+        assert not hasattr(t, "__dict__")
+
     def test_empty_tournament(self):
         t = make_tournament(0, [])
         assert t.n == 0

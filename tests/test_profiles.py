@@ -371,6 +371,18 @@ class TestProfileSequence:
         s = profile_sequence(cycle3(), 3)
         assert list(s.values) == [1, 1, 1, 1]
 
+    def test_canonical_cache_is_cleared_in_place_when_full(self, monkeypatch):
+        want = profile_sequence(family("c3", 3), 6)
+        cache, sizes = core._CANON_CACHE, []
+        search = core._search
+        monkeypatch.setattr(core, "_CANON_CACHE_MAX", 4)
+        monkeypatch.setattr(core, "_search", lambda rows: sizes.append(len(cache)) or search(rows))
+        cache.clear()
+        assert profile_sequence(family("c3", 3), 6) == want
+        # each new key goes in after the size is read, so the dict holds at most 4
+        assert len(sizes) > 4 and max(sizes) < 4 and len(cache) <= 4
+        assert core._CANON_CACHE is cache
+
     def test_negative_sizes_out_of_range(self):
         spec = SumSpec(cycle3(), (UNBOUNDED,) * 3)
         calls = [

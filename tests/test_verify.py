@@ -9,8 +9,11 @@ from tournkit.core import (
     Tournament,
     TournamentError,
     canonical_form,
+    chain,
+    cycle3,
     embeds,
     is_acyclic,
+    is_isomorphic,
     tournament_from_code,
 )
 from tournkit.decomp import is_acyclically_indecomposable
@@ -238,6 +241,34 @@ class TestDecompositionSuite:
         assert not rep.passed
         assert [(c["check"], c["error"]) for c in rep.counterexamples] == [("acyclic_components", str(e.value))]
 
+    def test_reconstruction_counterexample(self, monkeypatch):
+        # a reconstruction that returns the 3-chain for the 3-cycle
+        real = verify.reconstruct
+        monkeypatch.setattr(verify, "reconstruct", lambda d, t: chain(3) if t.n == 3 and not is_acyclic(t) else real(d, t))
+        rep = check_decomposition(3)
+        assert not rep.passed
+        assert [c["check"] for c in rep.counterexamples] == ["reconstruction"]
+        assert is_isomorphic(loads("\n".join(rep.counterexamples[0]["tournament"])), cycle3())
+
+    def test_large_components_counterexample(self, monkeypatch):
+        # monomorphic parts (and an oracle that agrees) all single vertices: the
+        # 4-chain's one acyclic block of 4 is no longer a monomorphic part
+        monkeypatch.setattr(verify, "_monomorphic_classes", lambda d: tuple((v,) for v in range(sum(map(len, d.blocks)))))
+        monkeypatch.setattr(verify, "_oracle_partition", lambda t: tuple((v,) for v in range(t.n)))
+        rep = check_decomposition(4)
+        assert not rep.passed
+        assert [c["check"] for c in rep.counterexamples] == ["large_components"]
+        assert is_isomorphic(loads("\n".join(rep.counterexamples[0]["tournament"])), chain(4))
+
+    def test_monomorphic_oracle_counterexample(self, monkeypatch):
+        # an oracle that splits the 3-cycle's one monomorphic part
+        real = verify._oracle_partition
+        monkeypatch.setattr(verify, "_oracle_partition", lambda t: ((0,), (1,), (2,)) if t.n == 3 and not is_acyclic(t) else real(t))
+        rep = check_decomposition(3)
+        assert not rep.passed
+        assert [c["check"] for c in rep.counterexamples] == ["monomorphic_oracle"]
+        assert is_isomorphic(loads("\n".join(rep.counterexamples[0]["tournament"])), cycle3())
+
     def test_sampled_sizes_recorded(self):
         rep = check_decomposition(8, samples_per_size=5)
         assert rep.passed
@@ -287,6 +318,15 @@ class TestIncomparabilitySuite:
             for host_size in range(41):
                 longest = max((n for n in range(host_size + 1) if family_size(kind, n) <= host_size), default=0)
                 assert verify._max_length_within(kind, host_size) == longest, (kind, host_size)
+
+    def test_avoidance_checked_only_against_kinds_with_a_host(self):
+        # below host size 3 the c3 and v members do not fit, below 2 no member does
+        for host_size in range(41):
+            hosted = [kind for kind in KINDS if family_size(kind, 1) <= host_size]
+            rep = check_incomparability(host_size)
+            avoids = [c["name"] for c in rep.checks if "_avoids_" in c["name"]]
+            assert avoids == [f"{name}_avoids_{kind}" for name in verify.WITNESS_NAMES
+                              for kind in hosted if kind != witness_family(name)], host_size
 
     def test_one_host_search_per_witness_and_foreign_kind(self, monkeypatch):
         # one host per kind: 6 witnesses x 5 foreign kinds
@@ -438,11 +478,14 @@ class TestClassCounts:
 @pytest.mark.parametrize("call", [
     lambda: check_compactness(2, -1),
     lambda: check_decomposition(-1),
+    # at 0 the suite would make no check at all
+    lambda: check_decomposition(0),
     lambda: check_decomposition(7, samples_per_size=-3),
     lambda: check_duality(-1),
     lambda: check_incomparability(-1),
     lambda: check_profile_formulas(-1),
-], ids=["compactness", "decomposition", "decomposition_samples", "duality", "incomparability", "formulas"])
+], ids=["compactness", "decomposition", "decomposition_zero", "decomposition_samples", "duality", "incomparability",
+        "formulas"])
 def test_negative_bound_out_of_range(call):
     with pytest.raises(TournamentError) as e:
         call()
