@@ -18,7 +18,7 @@ class TournamentError(ValueError):
         self.details = {} if details is None else details
 
 
-@dataclass(init=False, unsafe_hash=True, slots=True)
+@dataclass(init=False, frozen=True, slots=True)
 class Tournament:
     """Tournament on vertices 0..n-1; rows[i] is the out-neighbour bitmask of i.
 
@@ -31,8 +31,8 @@ class Tournament:
     rows: tuple[int, ...]
 
     def __init__(self, n: int, rows, validate: bool = True):
-        self.n = n
-        self.rows = tuple(rows)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(rows))
         if validate:
             self._validate()
 
@@ -283,7 +283,7 @@ def _group(gens, n: int) -> list[tuple[int, ...]]:
     return group
 
 
-def _search(rows: tuple[int, ...]):
+def _search(rows: tuple[int, ...], group: bool = False):
     """Lex-min code, the first and the best leaf's labelings, automorphism generators.
 
     Depth-first placement with an ordered partition of the unplaced vertices
@@ -303,6 +303,17 @@ def _search(rows: tuple[int, ...]):
     jump back to the two leaves' common ancestor.  A candidate in the orbit of
     an explored sibling under the generators fixing the placed vertices is
     skipped (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+
+    With ``group`` the search is for the automorphism group alone: a node is
+    cut as soon as one of its rows differs from the first leaf's, whatever
+    the best code.  A node's rows depend only on the tournament's structure
+    around the placed vertices, so an automorphism maps the first leaf's path
+    to one with the same rows, on which no cut falls.  Below each node of
+    the first leaf's path, every child that an automorphism fixing the
+    placed vertices makes of the path's own child still leads to a leaf
+    equal to the first, unless orbit pruning skips it, and no automorphism
+    is lost.  No other leaf is reached, so the returned code and best
+    labeling are the first leaf's, not the lex-min ones.
     """
     n = len(rows)
     first = best = first_order = best_order = None
@@ -342,7 +353,7 @@ def _search(rows: tuple[int, ...]):
                 same_first = same_first and low_row == first[d]
                 if vs_best == 0:
                     vs_best = (low_row > best[d]) - (low_row < best[d])
-                if vs_best > 0 and not same_first:
+                if not same_first and (group or vs_best > 0):
                     del cur[start:], order[start:]
                     return n
             cur.append(low_row)
@@ -360,7 +371,7 @@ def _search(rows: tuple[int, ...]):
                     same_first = same_first and row == first[d + i]
                     if vs_best == 0:
                         vs_best = (row > best[d + i]) - (row < best[d + i])
-                    if vs_best > 0 and not same_first:
+                    if not same_first and (group or vs_best > 0):
                         del cur[start:], order[start:]
                         return n
                 cur.append(row)
@@ -505,9 +516,14 @@ def embeds(pattern: Tournament, host: Tournament) -> bool:
 
 def automorphism_count(t: Tournament) -> int:
     """Number of automorphisms by orbit-stabiliser: the product, along the
-    canonical search's first leaf, of each placed vertex's orbit size under
-    the generators fixing the vertices placed before it."""
-    _, base, _, gens = _search(t.rows)
+    search's first leaf, of each placed vertex's orbit size under the
+    generators fixing the vertices placed before it.
+
+    The search runs in group mode: it looks for no lex-min code and cuts
+    every node whose rows leave the first leaf's.  Each automorphism maps
+    the first leaf to a leaf with the same rows, whose path no such cut
+    touches, so no automorphism is lost."""
+    _, base, _, gens = _search(t.rows, group=True)
     count, placed = 1, 0
     for v in base:
         count *= _orbit(1 << v, [g for g, moved in gens if not moved & placed]).bit_count()

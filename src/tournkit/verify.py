@@ -417,8 +417,9 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
     """
     if n not in (2, 3):
         raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
-    if size_bound < 0:
-        raise TournamentError("OUT_OF_RANGE", "size bound must be non-negative")
+    if size_bound < 1:
+        # at 0 only the member_* and smallest_empty_size checks remain, and neither can fail
+        raise TournamentError("OUT_OF_RANGE", "size bound must be at least 1")
     if size_bound > 8:
         raise TournamentError("TOO_LARGE", "size bound limited to 8",
                               {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})

@@ -610,6 +610,13 @@ class TestVerifyCommand:
         assert out == ""
         assert "OUT_OF_RANGE: n_max must be at least 1" in err
 
+    def test_compactness_refuses_size_bound_0(self, capsys):
+        # at 0 the report holds only checks that cannot fail
+        code, out, err = run(capsys, "verify", "--suite", "compactness", "--n", "2", "--size-bound", "0")
+        assert code == 2
+        assert out == ""
+        assert "OUT_OF_RANGE: size bound must be at least 1" in err
+
     @pytest.mark.parametrize(
         "suite, check, argv, expect",
         [

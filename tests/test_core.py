@@ -9,6 +9,7 @@ from tournkit.core import (
     ChainSpec,
     Tournament,
     TournamentError,
+    _group,
     _orbit,
     _search,
     automorphism_count,
@@ -97,6 +98,16 @@ class TestConstruction:
         assert {t, cycle3(), dual(t), dual(dual(t))} == {t, dual(t)}
         assert t in {cycle3()} and dual(t) not in {cycle3()}
         assert not hasattr(t, "__dict__")
+
+    def test_immutable(self):
+        t = Tournament(3, [2, 4, 1])
+        members = {t}
+        for name, value in (("rows", (4, 1, 2)), ("n", 4)):
+            with pytest.raises(AttributeError):
+                setattr(t, name, value)
+        assert t.n == 3 and t.rows == (2, 4, 1)
+        assert hash(t) == hash((3, (2, 4, 1)))
+        assert t in members and cycle3() in members
 
     def test_empty_tournament(self):
         t = make_tournament(0, [])
@@ -732,6 +743,65 @@ class TestSearchOracle:
         for _ in range(20):
             t = random_tournament(r, n)
             assert _search(t.rows) == oracle_search(t.rows)
+
+
+# oracle: the automorphism count as it was before the group search, by
+# orbit-stabiliser along the first leaf of the canonical-mode search
+
+
+def oracle_canonical_mode_count(t: Tournament) -> int:
+    _, base, _, gens = _search(t.rows)
+    count, placed = 1, 0
+    for v in base:
+        count *= _orbit(1 << v, [g for g, moved in gens if not moved & placed]).bit_count()
+        placed |= 1 << v
+    return count
+
+
+class TestGroupSearch:
+    """``automorphism_count``, which searches in group mode, counts what the
+    canonical-mode search counted; both modes share the first leaf, and in
+    group mode it is also the returned best leaf."""
+
+    def test_all_classes_up_to_8(self, rng):
+        for n in range(9):
+            for t in enumerate_tournaments(n):
+                for u in (t, relabeled(t, rng)):
+                    assert automorphism_count(u) == oracle_canonical_mode_count(u)
+
+    def test_same_group_up_to_6(self, rng):
+        for n in range(7):
+            for t in enumerate_tournaments(n):
+                for u in (t, relabeled(t, rng)):
+                    canon, group = _search(u.rows), _search(u.rows, group=True)
+                    assert group[1] == group[2] == canon[1]
+                    assert set(_group([g for g, _ in group[3]], n)) == set(_group([g for g, _ in canon[3]], n))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_family_members(self, kind, rng):
+        for length in range(1, 16):
+            for u in (family(kind, length), relabeled(family(kind, length), rng)):
+                assert automorphism_count(u) == oracle_canonical_mode_count(u), (kind, length)
+
+    @pytest.mark.parametrize("q", [7, 11, 19, 23, 31, 43])
+    def test_paley(self, q, rng):
+        for u in (paley(q), relabeled(paley(q), rng)):
+            assert automorphism_count(u) == oracle_canonical_mode_count(u) == q * (q - 1) // 2
+
+    def test_lex_sums_of_cycles(self, rng):
+        c3 = cycle3()
+        c9 = lex_sum(c3, [c3] * 3)
+        for t in (c9, lex_sum(c3, [c9] * 3), lex_sum(c9, [c3] * 9), lex_sum(chain(4), [c3] * 4),
+                  lex_sum(c3, [chain(2), c3, c9]), lex_sum(paley(7), [c3] * 7), lex_sum(c3, [paley(7)] * 3)):
+            for u in (t, relabeled(t, rng)):
+                assert automorphism_count(u) == oracle_canonical_mode_count(u)
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_seeded_random_batch(self, n):
+        r = random.Random(n)
+        for _ in range(20):
+            t = random_tournament(r, n)
+            assert automorphism_count(t) == oracle_canonical_mode_count(t)
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,7 @@ class TestCompactnessSuite:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_full_scan(self, n):
-        for size_bound in range(9):
+        for size_bound in range(1, 9):
             assert check_compactness(n, size_bound).to_json() == oracle_check_compactness(n, size_bound).to_json()
 
     def test_builds_no_census_level_at_the_bound(self, monkeypatch):
@@ -477,6 +477,8 @@ class TestClassCounts:
 
 @pytest.mark.parametrize("call", [
     lambda: check_compactness(2, -1),
+    # at 0 the report's checks cannot fail
+    lambda: check_compactness(2, 0),
     lambda: check_decomposition(-1),
     # at 0 the suite would make no check at all
     lambda: check_decomposition(0),
@@ -484,7 +486,7 @@ class TestClassCounts:
     lambda: check_duality(-1),
     lambda: check_incomparability(-1),
     lambda: check_profile_formulas(-1),
-], ids=["compactness", "decomposition", "decomposition_zero", "decomposition_samples", "duality", "incomparability",
+], ids=["compactness", "compactness_zero", "decomposition", "decomposition_zero", "decomposition_samples", "duality", "incomparability",
         "formulas"])
 def test_negative_bound_out_of_range(call):
     with pytest.raises(TournamentError) as e:
