@@ -41,6 +41,13 @@ def _cmd_gen(args) -> int:
     picked = sum(1 for flag in (args.family, args.witness, args.st) if flag)
     if picked != 1:
         raise TournamentError("USAGE", "pick exactly one of --family, --witness, --st")
+    # a flag of another source is refused, not ignored
+    for flag, given, source, chosen in (("--n", args.n is not None, "--family", args.family),
+                                        ("--desc", args.desc, "--family", args.family),
+                                        ("--checked", args.checked, "--family", args.family),
+                                        ("--h", args.h is not None, "--st", args.st)):
+        if given and not chosen:
+            raise TournamentError("USAGE", f"{flag} applies only with {source}")
     if args.family:
         if args.n is None:
             raise TournamentError("USAGE", "--family needs --n CHAIN_LENGTH")
@@ -164,62 +171,54 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else FAIL_EXIT
 
 
-def _gen_arguments(p):
-    p.add_argument("--family", choices=KINDS)
-    p.add_argument("--witness", choices=WITNESS_NAMES)
-    p.add_argument("--st", choices=("t", "u", "v"), help="classical odd tournament tag")
-    p.add_argument("--n", type=int, help="chain length for --family")
-    p.add_argument("--h", type=int, help="half-size parameter for --st (gives 2h+1 vertices)")
-    p.add_argument("--desc", action="store_true", help="build over the reversed chain")
-    p.add_argument("--checked", action="store_true", help="emit the acyclic-quotient variant")
-    p.add_argument("-o", "--output")
+# each command's arguments as (flags, add_argument keywords); the keywords are
+# only action="store_true", type=int, choices, required, default and help,
+# which is all that _read understands
+GEN_ARGUMENTS = (
+    (("--family",), {"choices": KINDS}),
+    (("--witness",), {"choices": WITNESS_NAMES}),
+    (("--st",), {"choices": ("t", "u", "v"), "help": "classical odd tournament tag"}),
+    (("--n",), {"type": int, "help": "chain length for --family"}),
+    (("--h",), {"type": int, "help": "half-size parameter for --st (gives 2h+1 vertices)"}),
+    (("--desc",), {"action": "store_true", "help": "build over the reversed chain"}),
+    (("--checked",), {"action": "store_true", "help": "emit the acyclic-quotient variant"}),
+    (("-o", "--output"), {}),
+)
+DECOMPOSE_ARGUMENTS = ((("file",), {}),)
+PROFILE_ARGUMENTS = (
+    (("file",), {}),
+    (("--max",), {"type": int, "required": True}),
+    (("--fit",), {"type": int, "help": "fit the series against k unbounded chains"}),
+)
+SUM_PROFILE_ARGUMENTS = (
+    (("--index",), {"required": True}),
+    (("--caps",), {"required": True, "help": "comma list of lengths, 'inf' for unbounded"}),
+    (("--max",), {"type": int, "required": True}),
+    (("--fit",), {"type": int}),
+)
+EMBED_ARGUMENTS = ((("pattern",), {}), (("host",), {}))
+ENUMERATE_ARGUMENTS = (
+    (("--n",), {"type": int, "required": True}),
+    (("--filter",), {"choices": ("acyclically-indecomposable",)}),
+)
+VERIFY_ARGUMENTS = (
+    (("--suite",), {"required": True, "choices": tuple(SUITES)}),
+    (("--n-max",), {"type": int, "default": 6}),
+    (("--host-size",), {"type": int, "default": 14}),
+    (("--max-chain",), {"type": int, "default": 5}),
+    (("--n",), {"type": int, "default": 2, "help": "chain length for compactness members"}),
+    (("--size-bound",), {"type": int, "default": 8}),
+)
 
-
-def _decompose_arguments(p):
-    p.add_argument("file")
-
-
-def _profile_arguments(p):
-    p.add_argument("file")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--fit", type=int, help="fit the series against k unbounded chains")
-
-
-def _sum_profile_arguments(p):
-    p.add_argument("--index", required=True)
-    p.add_argument("--caps", required=True, help="comma list of lengths, 'inf' for unbounded")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--fit", type=int)
-
-
-def _embed_arguments(p):
-    p.add_argument("pattern")
-    p.add_argument("host")
-
-
-def _enumerate_arguments(p):
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--filter", choices=("acyclically-indecomposable",))
-
-
-def _verify_arguments(p):
-    p.add_argument("--suite", required=True, choices=tuple(SUITES))
-    p.add_argument("--n-max", type=int, default=6)
-    p.add_argument("--host-size", type=int, default=14)
-    p.add_argument("--max-chain", type=int, default=5)
-    p.add_argument("--n", type=int, default=2, help="chain length for compactness members")
-    p.add_argument("--size-bound", type=int, default=8)
-
-
-# command -> (help line, function adding its arguments, handler), in `tournkit --help` order
+# command -> (help line, arguments, handler), in `tournkit --help` order
 COMMANDS = {
-    "gen": ("generate a family member, witness, or classical tournament", _gen_arguments, _cmd_gen),
-    "decompose": ("acyclic decomposition of a tournament file", _decompose_arguments, _cmd_decompose),
-    "profile": ("induced subtournament census of a file", _profile_arguments, _cmd_profile),
-    "sum-profile": ("profile of a sum of chains over an index file", _sum_profile_arguments, _cmd_sum_profile),
-    "embed": ("search an induced embedding of PATTERN into HOST", _embed_arguments, _cmd_embed),
-    "enumerate": ("canonical representatives on n vertices", _enumerate_arguments, _cmd_enumerate),
-    "verify": ("run a verification suite", _verify_arguments, _cmd_verify),
+    "gen": ("generate a family member, witness, or classical tournament", GEN_ARGUMENTS, _cmd_gen),
+    "decompose": ("acyclic decomposition of a tournament file", DECOMPOSE_ARGUMENTS, _cmd_decompose),
+    "profile": ("induced subtournament census of a file", PROFILE_ARGUMENTS, _cmd_profile),
+    "sum-profile": ("profile of a sum of chains over an index file", SUM_PROFILE_ARGUMENTS, _cmd_sum_profile),
+    "embed": ("search an induced embedding of PATTERN into HOST", EMBED_ARGUMENTS, _cmd_embed),
+    "enumerate": ("canonical representatives on n vertices", ENUMERATE_ARGUMENTS, _cmd_enumerate),
+    "verify": ("run a verification suite", VERIFY_ARGUMENTS, _cmd_verify),
 }
 
 
@@ -232,19 +231,79 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in COMMANDS if command is None else (command,):
-        help_line, add_arguments, handler = COMMANDS[name]
+        help_line, arguments, handler = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
-        add_arguments(p)
+        for flags, keywords in arguments:
+            p.add_argument(*flags, **keywords)
         p.set_defaults(func=handler)
     return parser
 
 
+def _value(token, keywords):
+    """`token` as argparse stores it for an argument with these keywords, or None if refused."""
+    if token.startswith("-"):
+        return None  # an option, a negative number or "--": argparse decides
+    if "type" in keywords:
+        try:
+            token = keywords["type"](token)
+        except ValueError:
+            return None
+    return token if token in keywords.get("choices", (token,)) else None
+
+
+def _read(argv):
+    """The namespace that `build_parser().parse_args(argv)` returns, or None.
+
+    Only a call that names its command and gives each argument plainly is
+    read: every option by its exact flag with its value as the next token,
+    the positionals in order, each value valid and each required option
+    given. Anything else, help, `--opt=value`, an abbreviation, `--` and
+    every error included, gets None and is left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, arguments, handler = COMMANDS[argv[0]]
+    values, options, positionals, required = {"command": argv[0]}, {}, [], set()
+    for flags, keywords in arguments:
+        # argparse's dest: the first long flag, else the first flag, or the positional's name
+        dest = next((f for f in flags if f.startswith("--")), flags[0]).lstrip("-").replace("-", "_")
+        switch = keywords.get("action") == "store_true"
+        values[dest] = keywords.get("default", False if switch else None)
+        if flags[0].startswith("-"):
+            options.update(dict.fromkeys(flags, (dest, keywords, switch)))
+        else:
+            positionals.append((dest, keywords))
+        if keywords.get("required"):
+            required.add(dest)
+    values["func"] = handler
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            dest, keywords, switch = options[token]
+            # a missing value reads as "-", which _value refuses
+            value = True if switch else _value(next(tokens, "-"), keywords)
+            required.discard(dest)
+        elif positionals:
+            dest, keywords = positionals.pop(0)
+            value = _value(token, keywords)
+        else:
+            return None
+        if value is None:
+            return None
+        values[dest] = value
+    if positionals or required:
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a call that names its command builds only that command's parser; help,
-    # an unknown command or a leading option get the full one
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    # a well-formed call is read straight from COMMANDS; help and refused
+    # calls go to argparse, with only the named command's parser when one is
+    # named and the full one for help, an unknown command or a leading option
+    args = _read(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit

@@ -1,8 +1,12 @@
 import argparse
+import contextlib
 import hashlib
+import importlib.util
+import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from tournkit import cli, decomp
-from tournkit.cli import main
+from tournkit.cli import SUITES, main
 from tournkit.core import ChainSpec, canonical_form, chain, cycle3, lex_sum
 from tournkit.decomp import (
     acyclic_components,
@@ -19,11 +23,12 @@ from tournkit.decomp import (
     is_indecomposable,
     monomorphic_components,
 )
-from tournkit.families import family, witness
+from tournkit.families import KINDS, WITNESS_NAMES, family, witness
 from tournkit.tfile import dump_path, dumps, load_path
 from tournkit.verify import SuiteReport
 
 from conftest import random_tournament
+from test_readme import command_lines
 
 
 # SHA-256 of ``tournkit decompose`` stdout for every family member of
@@ -245,8 +250,17 @@ class TestParser:
                             lambda self, name, **kwargs: seen.append(name) or add_parser(self, name, **kwargs))
         return seen
 
-    @pytest.mark.parametrize("argv", [["decompose", "FILE"]] + [[command, "--help"] for command in cli.COMMANDS],
-                             ids=" ".join)
+    @pytest.mark.parametrize("argv", [["decompose", "FILE"], ["profile", "FILE", "--max", "5", "--fit", "1"],
+                                      ["verify", "--suite", "duality", "--max-chain", "1"]], ids=" ".join)
+    def test_well_formed_call_builds_no_subparser(self, argv, built, c3_file, capsys):
+        code, _, _ = outcome(capsys, main, [c3_file if arg == "FILE" else arg for arg in argv])
+        assert code == 0
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [[command, "--help"] for command in cli.COMMANDS] + [
+        ["decompose", "FILE", "--bogus"],
+        ["profile", "FILE", "--max=3"],
+    ], ids=" ".join)
     def test_named_command_builds_one_subparser(self, argv, built, c3_file, capsys):
         outcome(capsys, main, [c3_file if arg == "FILE" else arg for arg in argv])
         assert built == [argv[0]]
@@ -266,6 +280,243 @@ class TestParser:
     def test_help_description_names_every_command(self):
         listed = cli.__doc__.rstrip(".").split(": ", 1)[1].split(", ")
         assert listed == ["generate" if command == "gen" else command for command in cli.COMMANDS]
+
+
+# The argument functions that cli.COMMANDS replaced, verbatim: the oracle for
+# the table, which the USAGE_SURFACE tests cannot be, as both of the parsers
+# they compare are built from it.
+def _gen_arguments(p):
+    p.add_argument("--family", choices=KINDS)
+    p.add_argument("--witness", choices=WITNESS_NAMES)
+    p.add_argument("--st", choices=("t", "u", "v"), help="classical odd tournament tag")
+    p.add_argument("--n", type=int, help="chain length for --family")
+    p.add_argument("--h", type=int, help="half-size parameter for --st (gives 2h+1 vertices)")
+    p.add_argument("--desc", action="store_true", help="build over the reversed chain")
+    p.add_argument("--checked", action="store_true", help="emit the acyclic-quotient variant")
+    p.add_argument("-o", "--output")
+
+
+def _decompose_arguments(p):
+    p.add_argument("file")
+
+
+def _profile_arguments(p):
+    p.add_argument("file")
+    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--fit", type=int, help="fit the series against k unbounded chains")
+
+
+def _sum_profile_arguments(p):
+    p.add_argument("--index", required=True)
+    p.add_argument("--caps", required=True, help="comma list of lengths, 'inf' for unbounded")
+    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--fit", type=int)
+
+
+def _embed_arguments(p):
+    p.add_argument("pattern")
+    p.add_argument("host")
+
+
+def _enumerate_arguments(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--filter", choices=("acyclically-indecomposable",))
+
+
+def _verify_arguments(p):
+    p.add_argument("--suite", required=True, choices=tuple(SUITES))
+    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--host-size", type=int, default=14)
+    p.add_argument("--max-chain", type=int, default=5)
+    p.add_argument("--n", type=int, default=2, help="chain length for compactness members")
+    p.add_argument("--size-bound", type=int, default=8)
+
+
+REFERENCE_ARGUMENTS = {
+    "gen": _gen_arguments,
+    "decompose": _decompose_arguments,
+    "profile": _profile_arguments,
+    "sum-profile": _sum_profile_arguments,
+    "embed": _embed_arguments,
+    "enumerate": _enumerate_arguments,
+    "verify": _verify_arguments,
+}
+
+
+def reference_parser():
+    """The full parser as built before the table: every command, from the functions above."""
+    parser = argparse.ArgumentParser(prog="tournkit", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, add_arguments in REFERENCE_ARGUMENTS.items():
+        help_line, _, handler = cli.COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=handler)
+    return parser
+
+
+class Recorder:
+    """Stands in for a parser and keeps each add_argument call as (flags, keywords)."""
+
+    def __init__(self):
+        self.arguments = []
+
+    def add_argument(self, *flags, **keywords):
+        self.arguments.append((flags, keywords))
+
+
+def reference_arguments(command):
+    recorder = Recorder()
+    REFERENCE_ARGUMENTS[command](recorder)
+    return recorder.arguments
+
+
+def parsed(parser, argv):
+    """vars() of parser.parse_args(argv), or its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+# well-formed values by kind; " 7", "+2", "1_0" and "\u0663" (Arabic-Indic 3)
+# are ints to int(), as to argparse
+GOOD_INTS = ("0", "3", "12", " 7", "+2", "1_0", "\u0663")
+GOOD_TEXTS = ("in.t", "a b", "inf,2", "")
+BAD_VALUES = ("x", "1.5", "", "-1", "zz", "--", "-", "--max")
+
+
+def argv_corpus(command, count, seed):
+    """Seeded argvs for `command`, about half of them well-formed.
+
+    A call gives every positional and required option and each other option
+    with even odds, in any order, some of them twice; then some calls get one
+    or two faults: a bad or missing value, a missing argument, help, an
+    `=` form, an abbreviation, `--`, an unknown option or an extra positional.
+    """
+    rng = random.Random(seed)
+    arguments = reference_arguments(command)
+
+    def good(keywords):
+        if "choices" in keywords:
+            return rng.choice(keywords["choices"])
+        return rng.choice(GOOD_INTS if "type" in keywords else GOOD_TEXTS)
+
+    corpus = []
+    for _ in range(count):
+        pieces = []
+        for flags, keywords in arguments:
+            if not flags[0].startswith("-"):
+                pieces.append([rng.choice(("in.t", "other.t", "a b"))])
+            elif keywords.get("required") or rng.random() < 0.5:
+                flag = rng.choice(flags)
+                pieces.append([flag] if "action" in keywords else [flag, good(keywords)])
+        if pieces and rng.random() < 0.2:
+            pieces.append(list(rng.choice(pieces)))
+        rng.shuffle(pieces)
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            fault = rng.randrange(9)
+            at = rng.randrange(len(pieces) + 1)
+            piece = pieces[at] if at < len(pieces) else None
+            if fault == 0 and piece:
+                piece[-1] = rng.choice(BAD_VALUES)
+            elif fault == 1 and piece:
+                del pieces[at]
+            elif fault == 2 and piece and piece[0].startswith("--"):
+                pieces[at] = [piece[0][:-1]] + piece[1:]
+            elif fault == 3 and piece and len(piece) == 2:
+                pieces[at] = [f"{piece[0]}={piece[1]}"]
+            elif fault == 4 and piece and len(piece) == 2:
+                pieces[at] = piece[:1]
+            else:
+                pieces.insert(at, [rng.choice(("-h", "--help", "--", "--bogus", "extra", "-o"))])
+        corpus.append([command] + [token for piece in pieces for token in piece])
+    return corpus
+
+
+CORPUS = {command: argv_corpus(command, 300, seed) for seed, command in enumerate(cli.COMMANDS, 3001)}
+
+
+def workload_argvs(tmp_path, monkeypatch):
+    """Every tournkit call of perfbench/workloads.py, a decompose task's file under tmp_path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    argvs = []
+    for tasks in workloads.WORKLOADS.values():
+        for task in tasks:
+            if task.job == "cli":
+                argvs.append(list(task.args))
+            elif task.job == "decompose":
+                argvs.append(["decompose", str(tmp_path / f"{task.name}.txt")])
+    return argvs
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("columns", ["80", "40"])
+    @pytest.mark.parametrize("command", ["(none)", *cli.COMMANDS])
+    def test_help_matches_reference_parser(self, command, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = ["--help"] if command == "(none)" else [command, "--help"]
+        got = parsed(cli.build_parser(), argv)
+        assert got == parsed(reference_parser(), argv)
+        assert got[0] == 0 and got[1].startswith("usage: tournkit")
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_parse_matches_reference_parser(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        table, reference = cli.build_parser(), reference_parser()
+        for argv in CORPUS[command]:
+            assert parsed(table, argv) == parsed(reference, argv), argv
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_table_uses_only_keywords_the_reader_knows(self, command):
+        # _read understands these and nothing else
+        for flags, keywords in cli.COMMANDS[command][1]:
+            assert set(keywords) <= {"action", "type", "choices", "required", "default", "help"}, flags
+            assert keywords.get("action", "store_true") == "store_true", flags
+            assert keywords.get("type", int) is int, flags
+
+
+class TestReader:
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_reader_agrees_with_argparse(self, command, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser = cli.build_parser()
+        read = 0
+        for argv in CORPUS[command]:
+            got = cli._read(argv)
+            if got is not None:
+                # argparse accepts it, into the same namespace
+                assert vars(got) == parsed(parser, argv), argv
+                read += 1
+        # both paths are walked: many calls read, many left to argparse
+        assert 60 <= read <= len(CORPUS[command]) - 60
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["bogus", "x"], ["--bogus", "decompose", "x"],
+        ["decompose", "x", "--help"], ["decompose", "-h"], ["decompose", "--", "x"], ["decompose", "-"],
+        ["profile", "x", "--max=3"], ["profile", "x", "--ma", "3"], ["profile", "x", "--max", "-1"],
+        ["profile", "x", "--max"], ["profile", "x"], ["profile", "x", "--max", "3", "y"],
+        ["gen", "--family", "zz", "--n", "3"], ["gen", "--n", "three"], ["gen", "-o"],
+        ["verify", "--suite", "formulas", "--n-max", "1.5"], ["embed", "a"],
+    ], ids=lambda argv: " ".join(argv) or "(none)")
+    def test_reader_leaves_to_argparse(self, argv):
+        assert cli._read(argv) is None
+
+    def test_reader_reads_every_documented_call(self, tmp_path, monkeypatch):
+        # the README block and every call the benchmark makes
+        argvs = [shlex.split(line, comments=True)[1:] for line in command_lines()]
+        argvs += workload_argvs(tmp_path, monkeypatch)
+        assert len(argvs) == 11 + 15
+        for argv in argvs:
+            got = cli._read(argv)
+            assert got is not None, argv
+            assert vars(got) == vars(cli.build_parser().parse_args(argv))
 
 
 class TestGen:
@@ -311,6 +562,24 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--st", "t")
         assert (code, out) == (2, "")
         assert err == "error: USAGE: --st needs --h H\n"
+
+    @pytest.mark.parametrize("argv", [
+        "--witness tau1 --n 5",
+        "--st t --h 2 --n 9",
+        "--witness tau1 --desc",
+        "--st t --h 2 --desc",
+        "--witness tau1 --checked",
+        "--st t --h 2 --checked",
+        "--family c3 --n 1 --h 5",
+        "--witness tau1 --h 5",
+    ])
+    def test_flag_of_another_source_refused(self, capsys, argv):
+        # each used to exit 0 with its last flag silently ignored
+        flag = [token for token in argv.split() if token.startswith("--")][-1]
+        source = "--st" if flag == "--h" else "--family"
+        code, out, err = run(capsys, "gen", *argv.split())
+        assert (code, out) == (2, "")
+        assert err == f"error: USAGE: {flag} applies only with {source}\n"
 
 
 class TestQueries:
@@ -391,6 +660,23 @@ class TestQueries:
         data = json.loads(out)
         assert data["fit"]["numerator"] == [1, 0, -1, 0, 0, 1, 1]
         assert data["growth"] == {"p": 3, "k": 3, "degree": 2}
+
+    @pytest.mark.parametrize("caps, plain", [
+        ("unbounded,unbounded,unbounded", "inf,inf,inf"),
+        ("*,*,*", "inf,inf,inf"),
+        ("unbounded,*,2", "inf,inf,2"),
+        (" inf , 2,* ", "inf,2,inf"),
+        ("1 , unbounded ,  3", "1,inf,3"),
+    ])
+    def test_sum_profile_cap_spellings(self, caps, plain, tmp_path, capsys):
+        # the other spellings of 'inf', and padded pieces, mean what the plain spelling does
+        f = tmp_path / "c3.t"
+        f.write_text("3\n010\n001\n100\n")
+        argv = ["sum-profile", "--index", str(f), "--caps", caps, "--max", "9"]
+        assert cli._read(argv).caps == caps
+        got = run(capsys, *argv)
+        assert got[0] == 0
+        assert got == run(capsys, "sum-profile", "--index", str(f), "--caps", plain, "--max", "9")
 
     def test_sum_profile_bad_cap(self, tmp_path, capsys):
         f = tmp_path / "c3.t"
