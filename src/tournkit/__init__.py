@@ -10,7 +10,6 @@ from .core import (
     automorphism_count,
     canonical_form,
     chain,
-    chain_tournament,
     cycle3,
     dual,
     embeds,
@@ -49,10 +48,8 @@ from .families import (
 )
 from .formulas import (
     FORMULA_TAGS,
-    a000930_floor_form,
     euler_totient,
     formula_value,
-    partition_count,
 )
 from .profiles import (
     DEFAULT_BUDGET,

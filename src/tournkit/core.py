@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 
 class TournamentError(ValueError):
@@ -78,10 +79,6 @@ class CanonicalCode:
     n: int
     bits: int
 
-    def bit_string(self) -> str:
-        width = self.n * (self.n - 1) // 2
-        return format(self.bits, f"0{width}b") if width else ""
-
 
 ASCENDING = "asc"
 DESCENDING = "desc"
@@ -95,6 +92,8 @@ class ChainSpec:
     orientation: str = ASCENDING
 
     def __post_init__(self):
+        if isinstance(self.length, bool) or not isinstance(self.length, int):
+            raise TournamentError("OUT_OF_RANGE", f"chain length must be an int, got {self.length!r}")
         if self.length < 0:
             raise TournamentError("OUT_OF_RANGE", "chain length must be non-negative")
         if self.orientation not in (ASCENDING, DESCENDING):
@@ -132,10 +131,6 @@ def chain(length: int, descending: bool = False) -> Tournament:
     return Tournament(length, rows, validate=False)
 
 
-def chain_tournament(spec: ChainSpec) -> Tournament:
-    return chain(spec.length, descending=spec.orientation == DESCENDING)
-
-
 def cycle3() -> Tournament:
     """0 beats 1, 1 beats 2, 2 beats 0."""
     return Tournament(3, (0b010, 0b100, 0b001), validate=False)
@@ -167,24 +162,16 @@ def restrict(t: Tournament, vertices) -> Tournament:
     return Tournament(len(vs), rows, validate=False)
 
 
-def block_offsets(blocks) -> list[int]:
-    """Start index of each block when blocks are laid out contiguously."""
-    offs = [0]
-    for b in blocks:
-        offs.append(offs[-1] + b.n)
-    return offs[:-1]
-
-
 def lex_sum(d: Tournament, blocks) -> Tournament:
     """Replace vertex i of the index tournament d by blocks[i].
 
-    Block vertex ranges are contiguous, in index order: block i occupies
-    block_offsets(blocks)[i] .. block_offsets(blocks)[i] + blocks[i].n - 1.
+    Block vertex ranges are contiguous, in index order: block i starts
+    after the vertices of blocks 0..i-1.
     """
     blocks = list(blocks)
     if len(blocks) != d.n:
         raise TournamentError("ARITY_MISMATCH", f"index has {d.n} vertices, got {len(blocks)} blocks")
-    offs = block_offsets(blocks)
+    offs = list(accumulate((b.n for b in blocks), initial=0))
     masks = [((1 << b.n) - 1) << o for b, o in zip(blocks, offs)]
     rows = []
     for b, o, r in zip(blocks, offs, d.rows):

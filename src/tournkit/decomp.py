@@ -283,29 +283,20 @@ def _subset_code_table(t: Tournament):
     """Code bits of the induced subtournament on a vertex mask, memoized."""
     if t.n > 10:
         raise TournamentError("TOO_LARGE", f"oracle limited to 10 vertices, got {t.n}",
-                              {"consumed": t.n, "limit": 10, "where": "decomp.is_monomorphic_part_oracle"})
+                              {"consumed": t.n, "limit": 10, "where": "decomp._subset_code_table"})
     return cache(lambda mask: canonical_form(restrict(t, list(_bits(mask)))).bits)
 
 
 def _is_monomorphic_in(code, n: int, part: int) -> bool:
-    """``is_monomorphic_part_oracle`` on a ``_subset_code_table``: for each set
-    S outside part, the m-subsets of part give S one code for every m."""
+    """Definition-level check, on a ``_subset_code_table``, that swapping
+    equal-size slices of part never changes the isomorphism type: for each
+    set S outside part, the m-subsets of part give S one code for every m."""
     inner = [sub for sub in range(1, 1 << n) if sub & part == sub]
     for s in range(1 << n):
         ref = {}  # the code of each size of slice
         if not s & part and any(ref.setdefault(i.bit_count(), c := code(s | i)) != c for i in inner):
             return False
     return True
-
-
-def is_monomorphic_part_oracle(t: Tournament, subset) -> bool:
-    """Definition-level check: swapping equal-size slices of the subset never
-    changes the isomorphism type.  Exponential; guarded to n <= 10."""
-    codes = _subset_code_table(t)
-    for v in sorted(set(subset)):
-        if not 0 <= v < t.n:
-            raise TournamentError("OUT_OF_RANGE", f"vertex {v} outside 0..{t.n - 1}")
-    return _is_monomorphic_in(codes, t.n, sum(1 << v for v in set(subset)))
 
 
 def reconstruct(d: Decomposition, t: Tournament) -> Tournament:

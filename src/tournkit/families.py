@@ -46,7 +46,7 @@ _PATTERNS = {
 
 def family(kind: str, c) -> Tournament:
     """Member of one of the six families over the given finite chain."""
-    spec = c if isinstance(c, ChainSpec) else ChainSpec(int(c))
+    spec = c if isinstance(c, ChainSpec) else ChainSpec(c)
     if kind not in KINDS:
         raise TournamentError("OUT_OF_RANGE", f"unknown family kind {kind!r}")
     if spec.length < 1:

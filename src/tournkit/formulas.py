@@ -7,15 +7,9 @@ from .core import TournamentError
 C3_RECURRENCE = "C3_RECURRENCE"
 CAMERON_DIAMOND_FREE = "CAMERON_DIAMOND_FREE"
 K_CLOSED = "K_CLOSED"
-K_RECURRENCE = "K_RECURRENCE"
 U_LOWER = "U_LOWER"
 H_LOWER = "H_LOWER"
 V_LOWER = "V_LOWER"
-
-# floor form of the C3 recurrence: round(d * c**n); c is the real root of
-# x**3 = x**2 + 1
-A000930_C = 1.465571231876768
-A000930_D = 0.611491991950812
 
 
 def _c3_value(n: int) -> int:
@@ -24,14 +18,6 @@ def _c3_value(n: int) -> int:
     for _ in range(n):
         a, b, c = b, c, c + a
     return a
-
-
-def _k_value(n: int) -> int:
-    # profile of the K family via its dilation recurrence
-    values = [1, 1, 1]
-    for m in range(3, n + 1):
-        values.append(1 + sum((m - j - 1) * values[j] for j in range(1, m - 1)))
-    return values[n]
 
 
 def euler_totient(n: int) -> int:
@@ -52,17 +38,6 @@ def euler_totient(n: int) -> int:
     return result
 
 
-def partition_count(k: int, n: int) -> int:
-    """Partitions of n into at most k parts; by conjugation, into parts <= k."""
-    if k < 0 or n < 0:
-        raise TournamentError("DOMAIN", f"need k, n >= 0, got k={k}, n={n}")
-    ways = [1] + [0] * n
-    for part in range(1, min(k, n) + 1):
-        for total in range(part, n + 1):
-            ways[total] += ways[total - part]
-    return ways[n]
-
-
 def _cameron(n: int) -> int:
     total = 0
     for d in range(1, n + 1, 2):
@@ -78,7 +53,6 @@ _FORMULAS = {
     C3_RECURRENCE: (0, "recurrence", _c3_value),
     CAMERON_DIAMOND_FREE: (1, "count", _cameron),
     K_CLOSED: (2, "closed form", lambda n: 2 ** (n - 2)),
-    K_RECURRENCE: (3, "recurrence", _k_value),
     U_LOWER: (0, "bound", lambda n: max(2 ** (n - 2) - 1 - (n - 1) * (n - 2) // 2, 0) if n >= 2 else 0),
     H_LOWER: (0, "bound", lambda n: max(2 ** (n - 4) - (n - 3) - 1, 0) if n >= 4 else 0),
     V_LOWER: (0, "bound", lambda n: 2 ** (n - 5) if n >= 5 else 0),
@@ -94,16 +68,3 @@ def formula_value(kind: str, n: int) -> int:
     if n < least:
         raise TournamentError("DOMAIN", f"{noun} defined for n >= {least}")
     return value(n)
-
-
-def a000930_floor_form(n: int) -> int:
-    """Float evaluation round(d * c**n), cross-checked against the recurrence."""
-    if n < 0:
-        raise TournamentError("DOMAIN", "defined for n >= 0")
-    try:
-        value = int(A000930_D * A000930_C ** n + 0.5)
-    except OverflowError:
-        raise TournamentError("PRECISION", f"floor form overflows a float at n={n}") from None
-    if value != _c3_value(n):
-        raise TournamentError("PRECISION", f"floor form disagrees with recurrence at n={n}")
-    return value

@@ -389,11 +389,6 @@ def _cycle_index_sum(size: int, f) -> list[int]:
     return [c // scale for c in series]
 
 
-def _class_count(n: int) -> int:
-    """Tournaments on n vertices up to isomorphism (OEIS A000568)."""
-    return _cycle_index_sum(n, [0, 1])[n]
-
-
 def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
     """Scan all small acyclically indecomposable tournaments for family avoidance.
 

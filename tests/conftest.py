@@ -20,6 +20,27 @@ def all_labeled_tournaments(n: int):
         yield Tournament(n, rows)
 
 
+def k_recurrence(n: int) -> int:
+    """Profile of the K family at n >= 3 by its dilation recurrence, the
+    oracle for the closed form 2^(n-2)."""
+    values = [1, 1, 1]
+    for m in range(3, n + 1):
+        values.append(1 + sum((m - j - 1) * values[j] for j in range(1, m - 1)))
+    return values[n]
+
+
+def parts_at_most_k(k: int, n: int) -> int:
+    """Partitions of n into at most k parts, by recursion on the largest part."""
+    def rec(remaining, largest, slots):
+        if remaining == 0:
+            return 1
+        if slots == 0:
+            return 0
+        return sum(rec(remaining - p, p, slots - 1) for p in range(min(remaining, largest), 0, -1))
+
+    return rec(n, n, k)
+
+
 @pytest.fixture
 def rng():
     return random.Random(987123)

@@ -14,11 +14,9 @@ from tournkit.formulas import (
     CAMERON_DIAMOND_FREE,
     H_LOWER,
     K_CLOSED,
-    K_RECURRENCE,
     U_LOWER,
     V_LOWER,
     formula_value,
-    partition_count,
 )
 from tournkit.profiles import (
     ProfileSeries,
@@ -41,6 +39,8 @@ from tournkit.verify import (
 )
 
 import pytest
+
+from conftest import k_recurrence, parts_at_most_k
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_01_c3_profile_and_series(profile_suite):
 def test_02_k_profile_and_recurrence(profile_suite):
     values = stabilized(profile_suite, "k")
     assert values[2:] == [formula_value(K_CLOSED, n) for n in range(2, 8)]
-    assert all(formula_value(K_RECURRENCE, n) == formula_value(K_CLOSED, n) for n in range(3, 21))
+    assert all(k_recurrence(n) == formula_value(K_CLOSED, n) for n in range(3, 21))
     announce(2, "K-family profile 2^(n-2) and recurrence/closed-form agreement to n=20")
 
 
@@ -169,7 +169,7 @@ def test_10_sum_profile_laws():
             assert fit is not None
             assert all(isinstance(c, int) for c in fit)
         for n in range(g["p"], 15):
-            assert sum_profile(spec, n) >= partition_count(g["k"], n - g["p"])
+            assert sum_profile(spec, n) >= parts_at_most_k(g["k"], n - g["p"])
     prefix = ProfileSeries(tuple(formula_value(C3_RECURRENCE, n) for n in range(15)))
     for k in range(4):
         assert series_fit(prefix, k) is None

@@ -3,7 +3,7 @@
 import pytest
 
 from tournkit.core import TournamentError, chain, cycle3, make_tournament
-from tournkit.decomp import is_monomorphic_part_oracle
+from tournkit.decomp import _subset_code_table
 from tournkit.families import family
 from tournkit.profiles import UNBOUNDED, SumSpec, profile_count, stabilized_profile, sum_profile
 from tournkit.verify import check_compactness, check_profile_formulas, enumerate_tournaments
@@ -28,8 +28,8 @@ def test_tournament_error_details_default_empty():
          {"consumed": 10, "limit": 9, "where": "verify.check_profile_formulas"}),
         (lambda: check_compactness(2, 9), "TOO_LARGE: size bound limited to 8",
          {"consumed": 9, "limit": 8, "where": "verify.check_compactness"}),
-        (lambda: is_monomorphic_part_oracle(chain(11), [0]), "TOO_LARGE: oracle limited to 10 vertices, got 11",
-         {"consumed": 11, "limit": 10, "where": "decomp.is_monomorphic_part_oracle"}),
+        (lambda: _subset_code_table(chain(11)), "TOO_LARGE: oracle limited to 10 vertices, got 11",
+         {"consumed": 11, "limit": 10, "where": "decomp._subset_code_table"}),
         (lambda: profile_count(family("c3", 12), 12, budget=1000),
          "BUDGET_EXCEEDED: 1010 prefix states of size 8 exceed budget 1000",
          {"consumed": 1010, "limit": 1000, "where": "profiles.subset_census"}),

@@ -17,9 +17,7 @@ from tournkit.core import (
     TournamentError,
     _pattern,
     _resolve_generator,
-    block_offsets,
     chain,
-    chain_tournament,
     cycle3,
     lex_sum,
     make_tournament,
@@ -37,12 +35,17 @@ def oracle_cycle3() -> Tournament:
     return make_tournament(3, [(0, 1), (1, 2), (2, 0)])
 
 
+def oracle_chain(spec: ChainSpec) -> Tournament:
+    pairs = combinations(range(spec.length), 2)
+    return make_tournament(spec.length, [(i, j) if spec.orientation == "asc" else (j, i) for i, j in pairs])
+
+
 def oracle_lex_sum(d: Tournament, blocks) -> Tournament:
     """Each block's own rows, then every pair of block vertices that the
     index orients, one index edge at a time."""
     blocks = list(blocks)
-    offs = block_offsets(blocks)
-    total = offs[-1] + blocks[-1].n if blocks else 0
+    offs = [sum(b.n for b in blocks[:i]) for i in range(len(blocks))]
+    total = sum(b.n for b in blocks)
     rows = [0] * total
     for i, b in enumerate(blocks):
         o = offs[i]
@@ -60,7 +63,7 @@ def oracle_lex_sum(d: Tournament, blocks) -> Tournament:
 def oracle_pattern(spec: ChainSpec, levels: int, rules) -> Tournament:
     """Vertex (x, i) is levels*x + i; each rule lists the pairs it orients."""
     length = spec.length
-    c = chain_tournament(spec)
+    c = oracle_chain(spec)
     edges = []
     for (s, i), (t, j) in rules:
         if s == 0 and t == 0:
@@ -85,7 +88,7 @@ def oracle_skew_product(spec: ChainSpec, x_set) -> Tournament:
 
 def oracle_v_family(spec: ChainSpec) -> Tournament:
     length = spec.length
-    c = chain_tournament(spec)
+    c = oracle_chain(spec)
     apex = 2 * length
     edges = []
     for x in range(length):
@@ -123,7 +126,7 @@ def oracle_schmerl_trotter(tag: str, h: int) -> Tournament:
 
 def oracle_family(kind: str, spec: ChainSpec) -> Tournament:
     if kind == "c3":
-        return oracle_lex_sum(chain_tournament(spec), [oracle_cycle3()] * spec.length)
+        return oracle_lex_sum(oracle_chain(spec), [oracle_cycle3()] * spec.length)
     if kind == "v":
         return oracle_v_family(spec)
     return oracle_skew_product(spec, X_SETS[kind])

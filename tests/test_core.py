@@ -15,7 +15,6 @@ from tournkit.core import (
     automorphism_count,
     canonical_form,
     chain,
-    chain_tournament,
     cycle3,
     dual,
     embeds,
@@ -125,7 +124,7 @@ class TestConstruction:
         assert str(e.value) == "OUT_OF_RANGE: chain length must be non-negative"
 
     def test_chain_tournament_descending(self):
-        t = chain_tournament(ChainSpec(4, "desc"))
+        t = chain(4, descending=True)
         assert t.edge(3, 0)
         assert is_acyclic(t)
 
@@ -348,10 +347,6 @@ class TestCanonical:
     def test_labeled_census(self, n, count):
         codes = {canonical_form(t) for t in all_labeled_tournaments(n)}
         assert len(codes) == count
-
-    def test_code_bit_string_length(self):
-        code = canonical_form(cycle3())
-        assert len(code.bit_string()) == 3
 
 
 class TestEmbedding:

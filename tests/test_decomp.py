@@ -26,14 +26,15 @@ from tournkit.decomp import (
     PRIME,
     THREE_CYCLE,
     _bits,
+    _is_monomorphic_in,
     _maximal_modules,
     _strong_components,
     _strong_tree,
+    _subset_code_table,
     acyclic_components,
     is_acyclically_indecomposable,
     is_autonomous,
     is_indecomposable,
-    is_monomorphic_part_oracle,
     monomorphic_components,
     reconstruct,
     separated,
@@ -140,8 +141,8 @@ def oracle_monomorphic_classes(t, blocks):
 
 
 def definition_is_monomorphic_part(t, subset):
-    """is_monomorphic_part_oracle before its table of subset codes: every
-    slice is canonized on its own."""
+    """_is_monomorphic_in before its table of subset codes: every slice is
+    canonized on its own."""
     bset = sorted(set(subset))
     outside = [v for v in range(t.n) if v not in bset]
     for k in range(len(outside) + 1):
@@ -510,25 +511,27 @@ class TestMonomorphic:
     def test_oracle_singletons(self):
         t = diamond()
         for v in range(4):
-            assert is_monomorphic_part_oracle(t, [v])
+            assert _is_monomorphic_in(_subset_code_table(t), t.n, 1 << v)
 
     def test_oracle_apex_cycle_pair_fails(self):
-        assert not is_monomorphic_part_oracle(diamond(), [0, 3])
+        assert not _is_monomorphic_in(_subset_code_table(diamond()), 4, 0b1001)
 
     def test_oracle_whole_chain(self):
-        assert is_monomorphic_part_oracle(chain(4), range(4))
+        assert _is_monomorphic_in(_subset_code_table(chain(4)), 4, 0b1111)
 
     def test_oracle_matches_definition(self, rng):
         cases = [t for n in range(6) for t in enumerate_tournaments(n)]
         cases += [random_tournament(rng, 6) for _ in range(4)]
         for t in cases:
+            codes = _subset_code_table(t)
             for k in range(t.n + 1):
                 for subset in combinations(range(t.n), k):
-                    assert is_monomorphic_part_oracle(t, subset) == definition_is_monomorphic_part(t, subset)
+                    mask = sum(1 << v for v in subset)
+                    assert _is_monomorphic_in(codes, t.n, mask) == definition_is_monomorphic_part(t, subset)
 
     def test_oracle_too_large(self):
         with pytest.raises(TournamentError) as e:
-            is_monomorphic_part_oracle(chain(11), [0])
+            _subset_code_table(chain(11))
         assert e.value.code == "TOO_LARGE"
 
     def test_agreement_with_oracle_exhaustive(self):

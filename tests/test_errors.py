@@ -15,9 +15,8 @@ from tournkit.core import (
     skew_product,
     tournament_from_code,
 )
-from tournkit.decomp import is_autonomous, is_monomorphic_part_oracle, separated
+from tournkit.decomp import is_autonomous, separated
 from tournkit.families import family, family_size, schmerl_trotter
-from tournkit.formulas import a000930_floor_form, partition_count
 from tournkit.profiles import age_leq, series_fit
 from tournkit.verify import enumerate_tournaments
 
@@ -34,6 +33,9 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: Tournament(2, [0b110, 0]), "OUT_OF_RANGE: row 0 has bits outside 0..1"),
         (lambda: Tournament(2, [0b11, 0]), "SELF_LOOP: vertex 0 beats itself"),
         (lambda: ChainSpec(-1), "OUT_OF_RANGE: chain length must be non-negative"),
+        (lambda: ChainSpec(2.5), "OUT_OF_RANGE: chain length must be an int, got 2.5"),
+        (lambda: ChainSpec("3"), "OUT_OF_RANGE: chain length must be an int, got '3'"),
+        (lambda: ChainSpec(True), "OUT_OF_RANGE: chain length must be an int, got True"),
         (lambda: ChainSpec(2, "up"), "OUT_OF_RANGE: unknown orientation 'up'"),
         (lambda: make_tournament(-1, []), "OUT_OF_RANGE: n must be non-negative"),
         (lambda: skew_product(ChainSpec(2), {"h0", "x9"}), "OUT_OF_RANGE: unknown generator 'x9'"),
@@ -43,25 +45,25 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: tournament_from_code(CanonicalCode(3, -1)), "OUT_OF_RANGE: code bits outside 0..2**3-1 for n=3"),
         (lambda: tournament_from_code(CanonicalCode(3, 1 << 10)), "OUT_OF_RANGE: code bits outside 0..2**3-1 for n=3"),
         (lambda: family("z", 2), "OUT_OF_RANGE: unknown family kind 'z'"),
+        (lambda: family("c3", 2.7), "OUT_OF_RANGE: chain length must be an int, got 2.7"),
+        (lambda: family("c3", "3"), "OUT_OF_RANGE: chain length must be an int, got '3'"),
         (lambda: family_size("z", 3), "OUT_OF_RANGE: unknown family kind 'z'"),
         (lambda: family_size("c3", -1), "OUT_OF_RANGE: chain length must be non-negative"),
         (lambda: schmerl_trotter("w", 3), "OUT_OF_RANGE: unknown tag 'w'"),
         (lambda: separated(cycle3(), 0, 3), "OUT_OF_RANGE: pair (0,3) outside 0..2"),
         (lambda: is_autonomous(cycle3(), [3]), "OUT_OF_RANGE: vertex 3 outside 0..2"),
-        (lambda: is_monomorphic_part_oracle(cycle3(), [5]), "OUT_OF_RANGE: vertex 5 outside 0..2"),
         (lambda: enumerate_tournaments(-1), "OUT_OF_RANGE: n must be non-negative"),
         (lambda: age_leq(cycle3(), cycle3(), -1), "OUT_OF_RANGE: n_max must be non-negative"),
         (lambda: series_fit([1] * 8, -1), "OUT_OF_RANGE: k must be non-negative"),
         (lambda: series_fit(SHORT_ZERO_TAIL, 2), "TOO_FEW_TERMS: zero tail shorter than the stabilisation window"),
-        (lambda: partition_count(-1, 3), "DOMAIN: need k, n >= 0, got k=-1, n=3"),
-        (lambda: a000930_floor_form(-1), "DOMAIN: defined for n >= 0"),
     ],
-    ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "orientation",
+    ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "chain_length_float",
+         "chain_length_str", "chain_length_bool", "orientation",
          "make_negative_n", "unknown_generator", "position_one_pair", "relabel", "code_negative_n",
-         "code_negative_bits", "code_too_wide", "family_kind",
-         "family_size_kind", "family_size_length", "st_tag", "separated", "is_autonomous", "monomorphic_oracle",
+         "code_negative_bits", "code_too_wide", "family_kind", "family_float_length", "family_str_length",
+         "family_size_kind", "family_size_length", "st_tag", "separated", "is_autonomous",
          "enumerate", "age_leq_n_max", "fit_k",
-         "fit_zero_tail", "partition_count", "floor_form"],
+         "fit_zero_tail"],
 )
 def test_input_check(call, message):
     with pytest.raises(TournamentError) as e:

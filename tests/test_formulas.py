@@ -9,14 +9,13 @@ from tournkit.formulas import (
     FORMULA_TAGS,
     H_LOWER,
     K_CLOSED,
-    K_RECURRENCE,
     U_LOWER,
     V_LOWER,
-    a000930_floor_form,
     euler_totient,
     formula_value,
-    partition_count,
 )
+
+from conftest import k_recurrence, parts_at_most_k
 
 
 class TestC3Recurrence:
@@ -61,17 +60,15 @@ class TestKFormulas:
         assert [formula_value(K_CLOSED, n) for n in range(2, 10)] == [1, 2, 4, 8, 16, 32, 64, 128]
 
     def test_recurrence_expansion_at_5(self):
-        assert formula_value(K_RECURRENCE, 5) == 8
+        assert k_recurrence(5) == 8
 
     def test_recurrence_matches_closed(self):
         for n in range(3, 21):
-            assert formula_value(K_RECURRENCE, n) == formula_value(K_CLOSED, n)
+            assert k_recurrence(n) == formula_value(K_CLOSED, n)
 
     def test_domains(self):
         with pytest.raises(TournamentError):
             formula_value(K_CLOSED, 1)
-        with pytest.raises(TournamentError):
-            formula_value(K_RECURRENCE, 2)
 
 
 class TestBounds:
@@ -94,7 +91,7 @@ class TestBounds:
             formula_value("NO_SUCH", 3)
 
     def test_tag_listing(self):
-        assert len(FORMULA_TAGS) == 7
+        assert len(FORMULA_TAGS) == 6
 
 
 class TestTotient:
@@ -114,36 +111,23 @@ class TestTotient:
 
 
 class TestPartitions:
+    """The oracle that bounds ``sum_profile`` from below."""
+
     def test_base_cases(self):
         for k in range(6):
-            assert partition_count(k, 0) == 1
+            assert parts_at_most_k(k, 0) == 1
         for n in range(1, 10):
-            assert partition_count(1, n) == 1
-            assert partition_count(0, n) == 0
+            assert parts_at_most_k(1, n) == 1
+            assert parts_at_most_k(0, n) == 0
 
     def test_spot(self):
-        assert partition_count(2, 4) == 3
-
-    def test_brute_force(self):
-        def parts_at_most_k(k, n):
-            # partitions of n into at most k parts
-            def rec(remaining, largest, slots):
-                if remaining == 0:
-                    return 1
-                if slots == 0:
-                    return 0
-                return sum(rec(remaining - p, p, slots - 1) for p in range(min(remaining, largest), 0, -1))
-
-            return rec(n, n, k)
-
-        for k in range(5):
-            for n in range(12):
-                assert partition_count(k, n) == parts_at_most_k(k, n)
+        assert parts_at_most_k(2, 4) == 3
 
     def test_generating_series_identity(self):
-        # convolving the p_k series with prod(1-x^i) telescopes to 1
+        # by conjugation the series is prod 1/(1-x^i) over i <= k: convolving
+        # it with prod(1-x^i) telescopes to 1
         for k in range(1, 6):
-            series = [partition_count(k, n) for n in range(21)]
+            series = [parts_at_most_k(k, n) for n in range(21)]
             poly = [1]
             for i in range(1, k + 1):
                 new = poly + [0] * i
@@ -159,26 +143,15 @@ class TestPartitions:
 
 
 class TestFloorForm:
-    def test_spots(self):
-        assert a000930_floor_form(0) == 1
-        assert a000930_floor_form(9) == 19
-        assert a000930_floor_form(15) == 189
-
     def test_matches_recurrence(self):
+        # A000930 is round(d * c**n), c the real root of x**3 = x**2 + 1
+        c, d = 1.465571231876768, 0.611491991950812
         for n in range(31):
-            assert a000930_floor_form(n) == formula_value(C3_RECURRENCE, n)
-
-    def test_checked_at_every_n(self):
-        assert a000930_floor_form(85) == formula_value(C3_RECURRENCE, 85)
-        for n in (86, 2000):
-            # from n = 86 the float form rounds wrong; at n = 2000 it overflows
-            with pytest.raises(TournamentError) as e:
-                a000930_floor_form(n)
-            assert e.value.code == "PRECISION"
+            assert round(d * c ** n) == formula_value(C3_RECURRENCE, n)
 
 
 class TestLargeN:
-    """The oracles are loops, so large n neither recurses nor caches."""
+    """The formulas are loops, so large n neither recurses nor caches."""
 
     def test_c3_recurrence_at_5000(self):
         a, b, c = 1, 1, 1
@@ -186,13 +159,9 @@ class TestLargeN:
             a, b, c = b, c, c + a
         assert formula_value(C3_RECURRENCE, 5000) == a
 
-    def test_partitions(self):
-        assert partition_count(2, 5000) == 2501
-        assert partition_count(5, 600) == 47289026
-
     def test_k_recurrence_matches_closed_to_60(self):
         for n in range(3, 61):
-            assert formula_value(K_RECURRENCE, n) == 2 ** (n - 2)
+            assert k_recurrence(n) == formula_value(K_CLOSED, n)
 
 
 class TestFormulaTable:
@@ -201,7 +170,6 @@ class TestFormulaTable:
             C3_RECURRENCE,
             CAMERON_DIAMOND_FREE,
             K_CLOSED,
-            K_RECURRENCE,
             U_LOWER,
             H_LOWER,
             V_LOWER,
@@ -213,7 +181,6 @@ class TestFormulaTable:
             (C3_RECURRENCE, -1, "recurrence defined for n >= 0"),
             (CAMERON_DIAMOND_FREE, 0, "count defined for n >= 1"),
             (K_CLOSED, 1, "closed form defined for n >= 2"),
-            (K_RECURRENCE, 2, "recurrence defined for n >= 3"),
             (U_LOWER, -1, "bound defined for n >= 0"),
             (H_LOWER, -1, "bound defined for n >= 0"),
             (V_LOWER, -1, "bound defined for n >= 0"),

@@ -1,8 +1,9 @@
-"""Every module-level import in the package modules is used, and only
-``core`` reads a tournament's private column helpers or builds from an
-edge list."""
+"""Every module-level import and private helper in the package modules is
+used, every function the bench tracer wraps exists, and only ``core`` reads
+a tournament's private column helpers or builds from an edge list."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,53 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Top-level names with one leading underscore that the module defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def names_read(source: str) -> set[str]:
+    """Names the module reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)}
+
+
+def test_finds_an_unread_private():
+    source = "_A = 1\n_B, C = 2, 3\n__all__ = []\n\n\ndef _f():\n    return _A\n\n\nclass _K:\n    pass\n"
+    read = names_read(source + "print(m._f)\n")
+    assert [name for name in private_definitions(source) if name not in read] == ["_B", "_K"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_private_is_read(path):
+    """A private helper that nothing under src/ reads is dead code."""
+    read = set().union(*(names_read(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert [name for name in private_definitions(path.read_text()) if name not in read] == []
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """(module, function) pairs of the bench tracer's SPANNED and COUNTED
+    tables, read from its source so that the bench is not imported."""
+    tree = ast.parse((PACKAGE.parent.parent / "perfbench" / "spans.py").read_text())
+    tables = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+              if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in ("SPANNED", "COUNTED")}
+    assert sorted(tables) == ["COUNTED", "SPANNED"]
+    return [(mod, fn) for table in tables.values() for mod, fns in table.items() for fn in fns]
+
+
+@pytest.mark.parametrize("mod, fn", traced_names(), ids=lambda x: x)
+def test_traced_function_exists(mod, fn):
+    """A traced bench run looks each name up with getattr."""
+    assert callable(getattr(importlib.import_module(f"tournkit.{mod}"), fn, None))
 
 
 COLUMN_PRIVATES = {"_transpose", "_cols"}

@@ -39,7 +39,7 @@ from tournkit.profiles import (
 )
 from tournkit.verify import enumerate_tournaments
 
-from conftest import random_tournament
+from conftest import parts_at_most_k, random_tournament
 from test_acceptance import SUM_SPECS
 from test_core import diamond
 from test_decomp import NESTED, oracle_blocks
@@ -659,8 +659,6 @@ class TestGrowth:
         assert growth_of_sum(SumSpec(cycle3(), (1, 2, UNBOUNDED))) == {"p": 3, "k": 1, "degree": 0}
 
     def test_partition_lower_bound(self):
-        from tournkit.formulas import partition_count
-
         specs = [
             SumSpec(cycle3(), (UNBOUNDED,) * 3),
             SumSpec(cycle3(), (1, 2, UNBOUNDED)),
@@ -669,7 +667,7 @@ class TestGrowth:
         for spec in specs:
             g = growth_of_sum(spec)
             for n in range(g["p"], 15):
-                assert sum_profile(spec, n) >= partition_count(g["k"], n - g["p"])
+                assert sum_profile(spec, n) >= parts_at_most_k(g["k"], n - g["p"])
 
     def test_degree_law_normalized_ratio(self):
         # phi(n)/n^(k-1) should flatten out; consecutive ratios near the top

@@ -440,16 +440,16 @@ def oracle_ai_class_counts(size_bound):
                 by_total, _ = profiles._orbit_counts(perms, [((1, size_bound),) * k], k + 1, size_bound, 0, 10**6)
                 for total, orbits in by_total.items():
                     reducible[total] += orbits
-    return [verify._class_count(s) - reducible[s] for s in range(size_bound + 1)]
+    return [verify._cycle_index_sum(s, [0, 1])[s] - reducible[s] for s in range(size_bound + 1)]
 
 
 class TestClassCounts:
     def test_davis_formula_is_a000568(self):
-        assert tuple(verify._class_count(n) for n in range(11)) == A000568
+        assert tuple(verify._cycle_index_sum(n, [0, 1])[n] for n in range(11)) == A000568
 
     def test_davis_formula_matches_census(self):
         for n in range(9):
-            assert verify._class_count(n) == len(enumerate_tournaments(n))
+            assert verify._cycle_index_sum(n, [0, 1])[n] == len(enumerate_tournaments(n))
 
     def test_ai_counts_are_published_values(self):
         assert tuple(ai_class_counts(12)) == AI_CLASSES
