@@ -121,8 +121,7 @@ def make_tournament(n: int, edges) -> Tournament:
 
 def chain(length: int, descending: bool = False) -> Tournament:
     """Transitive tournament: i beats j iff i < j (or i > j when descending)."""
-    if length < 0:
-        raise TournamentError("OUT_OF_RANGE", "chain length must be non-negative")
+    ChainSpec(length)  # the length check
     if descending:
         rows = [((1 << i) - 1) for i in range(length)]
     else:
@@ -284,9 +283,16 @@ def _search(rows: tuple[int, ...], group: bool = False):
     split, which its child uses.  A lone candidate is placed in the same
     frame, which goes on with its split; every return truncates the rows and
     vertices back to the frame's start depth.  Once every cell is a single
-    vertex the rest of the labeling is fixed, and its rows are emitted in one
-    loop.  A node above the best code and off the first leaf's code is cut.  A
-    leaf equal to the first or best leaf gives an automorphism generator and a
+    vertex the rest of the labeling is fixed, to k vertices vs, and their
+    rows come from packed bit matrices at stride n, one shift per vertex:
+    ``packed`` holds vs[i]'s out-mask as block i, and for each j in turn one
+    shift moves column vs[j] of blocks 0..j-1 at once to bit k-1-j of the
+    same blocks of ``tail``, before vs[j]'s out-mask joins ``packed`` as
+    block j.  Block i of ``tail`` then holds, at bit k-1-j, whether vs[i]
+    beats vs[j], for every later j and nothing else: vs[i]'s row over the
+    later vertices, the first one highest, as a bit-by-bit loop over them
+    would build it.  A node above the best code and off the first leaf's
+    code is cut.  A leaf equal to the first or best leaf gives an automorphism generator and a
     jump back to the two leaves' common ancestor.  A candidate in the orbit of
     an explored sibling under the generators fixing the placed vertices is
     skipped (McKay & Piperno, "Practical graph isomorphism, II", 2014).
@@ -303,6 +309,8 @@ def _search(rows: tuple[int, ...], group: bool = False):
     labeling are the first leaf's, not the lex-min ones.
     """
     n = len(rows)
+    full = (1 << n) - 1
+    ones = ((1 << n * n) - 1) // full if n else 0  # bit 0 of each of n blocks at stride n
     first = best = first_order = best_order = None
     gens: list[tuple[list[int], int]] = []  # (image of each vertex, moved vertices)
     cur: list[int] = []  # rows emitted so far
@@ -350,10 +358,13 @@ def _search(rows: tuple[int, ...], group: bool = False):
             cells, d, placed = split, d + 1, placed | low
         else:  # discrete: the rest of the labeling is fixed
             vs = [c.bit_length() - 1 for c in cells]
-            for i, v in enumerate(vs):
-                rv, row = rows[v], 0
-                for u in vs[i + 1:]:
-                    row = row << 1 | rv >> u & 1
+            k, packed, tail = len(vs), 0, 0
+            for j, u in enumerate(vs):
+                # column u of blocks 0..j-1 to bit k-1-j; then u's row is block j
+                tail |= (packed >> u & ones) << k - 1 - j
+                packed |= rows[u] << j * n
+            for i in range(k):
+                row = tail >> i * n & full
                 if first is not None:
                     same_first = same_first and row == first[d + i]
                     if vs_best == 0:
@@ -398,7 +409,7 @@ def _search(rows: tuple[int, ...], group: bool = False):
         del cur[start:], order[start:]
         return jump
 
-    rec([(1 << n) - 1] if n else [], 0, 0, True, -1)
+    rec([full] if n else [], 0, 0, True, -1)
     code = 0
     for d, rowbits in enumerate(best):
         code = (code << (n - 1 - d)) | rowbits

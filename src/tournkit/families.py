@@ -124,8 +124,7 @@ def witness_family(name: str) -> str:
 def family_size(kind: str, length: int) -> int:
     if kind not in KINDS:
         raise TournamentError("OUT_OF_RANGE", f"unknown family kind {kind!r}")
-    if length < 0:
-        raise TournamentError("OUT_OF_RANGE", "chain length must be non-negative")
+    ChainSpec(length)  # the length check
     return _PATTERNS[kind][0] * length + (kind == "v")
 
 

@@ -119,7 +119,7 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
     for the life of the process; level 9 is not, so each call for it walks
     the census again and only the caller holds its 191,536 tournaments.
     """
-    if n in _REPS:
+    if type(n) is int and n in _REPS:  # 2.0 and True hash as 2 and 1; _census refuses them
         return list(_REPS[n])
     reps = [_decode(n, bits) for bits in _census(n)[n]]
     if n <= _REPS_MAX:
@@ -150,6 +150,8 @@ def _census(n: int, keep=None) -> list[array]:
     """
     # the limits of enumerate_tournaments, which the errors name; the CLI
     # walks here directly
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TournamentError("OUT_OF_RANGE", f"n must be an int, got {n!r}")
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
     if n > 9:

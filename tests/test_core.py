@@ -688,8 +688,10 @@ class TestAutomorphismOracle:
             assert automorphism_count(family("c3", length)) == 3**length
         assert automorphism_count(relabeled(family("c3", 20), rng)) == 3**20
 
-    def test_paley31(self):
-        assert automorphism_count(paley(31)) == 465
+    @pytest.mark.parametrize("p", [3, 7, 11, 19, 23, 31, 43, 59, 83])
+    def test_paley(self, p):
+        # x -> a*x + b with a a non-zero square: p * (p - 1) / 2 automorphisms
+        assert automorphism_count(paley(p)) == p * (p - 1) // 2
 
     @pytest.mark.parametrize("length", [13, 20])
     def test_t_family_rigid(self, length):
@@ -726,13 +728,13 @@ class TestSearchOracle:
         "t",
         [paley(19), paley(31), paley(43), family("c3", 20), family("t", 20),
          *(relabeled(family(kind, length), random.Random(seed)) for kind, length in (("t", 20), ("c3", 12))
-           for seed in (1, 2))],
+           for seed in (1, 2)), relabeled(paley(83), random.Random(1))],
         ids=["paley19", "paley31", "paley43", "c3_20", "t20",
-             "t20_relabeled1", "t20_relabeled2", "c3_12_relabeled1", "c3_12_relabeled2"])
+             "t20_relabeled1", "t20_relabeled2", "c3_12_relabeled1", "c3_12_relabeled2", "paley83_relabeled1"])
     def test_symmetric_objects(self, t):
         assert _search(t.rows) == oracle_search(t.rows)
 
-    @pytest.mark.parametrize("n", [40, 60])
+    @pytest.mark.parametrize("n", [40, 60, 120])
     def test_seeded_random_batch(self, n):
         r = random.Random(n)
         for _ in range(20):

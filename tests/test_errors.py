@@ -9,6 +9,7 @@ from tournkit.core import (
     ChainSpec,
     Tournament,
     TournamentError,
+    chain,
     cycle3,
     make_tournament,
     relabel,
@@ -37,6 +38,7 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: ChainSpec("3"), "OUT_OF_RANGE: chain length must be an int, got '3'"),
         (lambda: ChainSpec(True), "OUT_OF_RANGE: chain length must be an int, got True"),
         (lambda: ChainSpec(2, "up"), "OUT_OF_RANGE: unknown orientation 'up'"),
+        (lambda: chain(2.5), "OUT_OF_RANGE: chain length must be an int, got 2.5"),
         (lambda: make_tournament(-1, []), "OUT_OF_RANGE: n must be non-negative"),
         (lambda: skew_product(ChainSpec(2), {"h0", "x9"}), "OUT_OF_RANGE: unknown generator 'x9'"),
         (lambda: skew_product(ChainSpec(2), {"v1"}), "NOT_A_TOURNAMENT: generator covers no pair"),
@@ -49,20 +51,25 @@ SHORT_ZERO_TAIL = [1, 1, 2, 2, 3, 3, 5, 5]
         (lambda: family("c3", "3"), "OUT_OF_RANGE: chain length must be an int, got '3'"),
         (lambda: family_size("z", 3), "OUT_OF_RANGE: unknown family kind 'z'"),
         (lambda: family_size("c3", -1), "OUT_OF_RANGE: chain length must be non-negative"),
+        (lambda: family_size("c3", "3"), "OUT_OF_RANGE: chain length must be an int, got '3'"),
+        (lambda: family_size("c3", 2.5), "OUT_OF_RANGE: chain length must be an int, got 2.5"),
         (lambda: schmerl_trotter("w", 3), "OUT_OF_RANGE: unknown tag 'w'"),
         (lambda: separated(cycle3(), 0, 3), "OUT_OF_RANGE: pair (0,3) outside 0..2"),
         (lambda: is_autonomous(cycle3(), [3]), "OUT_OF_RANGE: vertex 3 outside 0..2"),
         (lambda: enumerate_tournaments(-1), "OUT_OF_RANGE: n must be non-negative"),
+        (lambda: enumerate_tournaments(2.5), "OUT_OF_RANGE: n must be an int, got 2.5"),
+        (lambda: enumerate_tournaments(True), "OUT_OF_RANGE: n must be an int, got True"),
         (lambda: age_leq(cycle3(), cycle3(), -1), "OUT_OF_RANGE: n_max must be non-negative"),
         (lambda: series_fit([1] * 8, -1), "OUT_OF_RANGE: k must be non-negative"),
         (lambda: series_fit(SHORT_ZERO_TAIL, 2), "TOO_FEW_TERMS: zero tail shorter than the stabilisation window"),
     ],
     ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "chain_length_float",
-         "chain_length_str", "chain_length_bool", "orientation",
+         "chain_length_str", "chain_length_bool", "orientation", "chain_float_length",
          "make_negative_n", "unknown_generator", "position_one_pair", "relabel", "code_negative_n",
          "code_negative_bits", "code_too_wide", "family_kind", "family_float_length", "family_str_length",
-         "family_size_kind", "family_size_length", "st_tag", "separated", "is_autonomous",
-         "enumerate", "age_leq_n_max", "fit_k",
+         "family_size_kind", "family_size_length", "family_size_str_length", "family_size_float_length",
+         "st_tag", "separated", "is_autonomous",
+         "enumerate", "enumerate_float", "enumerate_bool", "age_leq_n_max", "fit_k",
          "fit_zero_tail"],
 )
 def test_input_check(call, message):
