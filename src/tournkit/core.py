@@ -19,6 +19,17 @@ class TournamentError(ValueError):
         self.details = {} if details is None else details
 
 
+def _count(value, name: str, least: int | None = 0) -> int:
+    """value, if it is an int (not a bool) and at least least (None sets no
+    bound); every public size, length and bound is checked here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TournamentError("OUT_OF_RANGE", f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise TournamentError("OUT_OF_RANGE", f"{name} must be non-negative" if least == 0
+                              else f"{name} must be at least {least}")
+    return value
+
+
 @dataclass(init=False, frozen=True, slots=True)
 class Tournament:
     """Tournament on vertices 0..n-1; rows[i] is the out-neighbour bitmask of i.
@@ -92,19 +103,14 @@ class ChainSpec:
     orientation: str = ASCENDING
 
     def __post_init__(self):
-        if isinstance(self.length, bool) or not isinstance(self.length, int):
-            raise TournamentError("OUT_OF_RANGE", f"chain length must be an int, got {self.length!r}")
-        if self.length < 0:
-            raise TournamentError("OUT_OF_RANGE", "chain length must be non-negative")
+        _count(self.length, "chain length")
         if self.orientation not in (ASCENDING, DESCENDING):
             raise TournamentError("OUT_OF_RANGE", f"unknown orientation {self.orientation!r}")
 
 
 def make_tournament(n: int, edges) -> Tournament:
     """Build a tournament from an explicit orientation of every pair."""
-    if n < 0:
-        raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
-    rows = [0] * n
+    rows = [0] * _count(n, "n")
     for x, y in edges:
         if not (0 <= x < n and 0 <= y < n):
             raise TournamentError("OUT_OF_RANGE", f"edge ({x},{y}) outside 0..{n - 1}")

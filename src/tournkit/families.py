@@ -16,6 +16,7 @@ from .core import (
     ChainSpec,
     Tournament,
     TournamentError,
+    _count,
     _pattern,
     _resolve_generator,
     chain,
@@ -75,7 +76,7 @@ def schmerl_trotter(tag: str, h: int) -> Tournament:
     """
     if tag not in ("t", "u", "v"):
         raise TournamentError("OUT_OF_RANGE", f"unknown tag {tag!r}")
-    if h < 2:
+    if _count(h, "h", None) < 2:
         raise TournamentError("H_TOO_SMALL", "need h >= 2")
     if tag == "v":
         return family("v", h)

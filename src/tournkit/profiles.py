@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .core import Tournament, TournamentError, _cached_bits, _group, _search, restrict
+from .core import Tournament, TournamentError, _cached_bits, _count, _group, _search, restrict
 from .decomp import acyclic_components
 
 UNBOUNDED = None
@@ -33,7 +33,7 @@ class SumSpec:
         if len(self.caps) != self.index.n:
             raise TournamentError("ARITY_MISMATCH", f"{self.index.n} index vertices, {len(self.caps)} caps")
         for c in self.caps:
-            if c is not UNBOUNDED and c < 0:
+            if c is not UNBOUNDED and (isinstance(c, bool) or not isinstance(c, int) or c < 0):
                 raise TournamentError("OUT_OF_RANGE", "caps must be non-negative or UNBOUNDED")
 
 
@@ -94,15 +94,12 @@ def _subset_codes(t: Tournament, lo: int, hi: int, budget: int) -> Iterator[set[
 def profile_count(t: Tournament, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of isomorphism types among the n-vertex induced subtournaments;
     the budget counts the census's prefix states of one size (``_subset_codes``)."""
-    if n < 0:
-        raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
+    _count(n, "n")
     return len(list(_subset_codes(t, n, n, budget))[n]) if n <= t.n else 0
 
 
 def profile_sequence(t: Tournament, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
-    if n_max < 0:
-        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
-    counts = tuple(len(codes) for codes in _subset_codes(t, 0, min(n_max, t.n), budget))
+    counts = tuple(len(codes) for codes in _subset_codes(t, 0, min(_count(n_max, "n_max"), t.n), budget))
     return ProfileSeries(counts + (0,) * (n_max - t.n))
 
 
@@ -133,7 +130,7 @@ def sum_profile(spec: SumSpec, n: int, budget: int = DEFAULT_BUDGET) -> int:
     the values tried for one cycle of a fixed vector (see ``_fixed_vectors``),
     summed over every class and automorphism.
     """
-    return _sum_profiles(spec, (n,), budget)[0]
+    return _sum_profiles(spec, (_count(n, "n"),), budget)[0]
 
 
 def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
@@ -142,8 +139,6 @@ def _sum_profiles(spec: SumSpec, sizes, budget: int) -> tuple[int, ...]:
         raise TournamentError("INDEX_TOO_LARGE", f"index limited to 8 vertices, got {spec.index.n}",
                               {"consumed": spec.index.n, "limit": 8, "where": "profiles.sum_profile"})
     low, high = min(sizes), max(sizes)
-    if low < 0:
-        raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
     live = [v for v, c in enumerate(spec.caps) if c is UNBOUNDED or c > 0]
     classes = {}  # (|Q|, code of Q) -> (Aut(Q) on canonical positions, boxes there)
     for subset in range(1, 1 << len(live)):
@@ -247,9 +242,7 @@ def _acyclic_blocks(index: Tournament, support) -> tuple[tuple[tuple[int, ...], 
 
 
 def sum_profile_sequence(spec: SumSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> ProfileSeries:
-    if n_max < 0:
-        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
-    return ProfileSeries(_sum_profiles(spec, range(n_max + 1), budget))
+    return ProfileSeries(_sum_profiles(spec, range(_count(n_max, "n_max") + 1), budget))
 
 
 def series_fit(series, k: int) -> list[int] | None:
@@ -262,8 +255,7 @@ def series_fit(series, k: int) -> list[int] | None:
     so TOO_FEW_TERMS is raised instead of answering.
     """
     values = list(series.values if isinstance(series, ProfileSeries) else series)
-    if k < 0:
-        raise TournamentError("OUT_OF_RANGE", "k must be non-negative")
+    _count(k, "k")
     window = max(k * (k + 1) // 2, 1)
     needed = max(2 * k + 4, window + 1)
     if len(values) < needed:
@@ -285,9 +277,7 @@ def age_leq(a: Tournament, b: Tournament, n_max: int, budget: int = DEFAULT_BUDG
 
     The censuses run size by size, a's before b's, and stop at the first size
     where b lacks a type of a; the budget counts prefix states of one size."""
-    if n_max < 0:
-        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
-    top = min(n_max, a.n)
+    top = min(_count(n_max, "n_max"), a.n)
     # a has a type on b.n + 1 vertices if top > b.n, and b has none
     levels = zip(_subset_codes(a, 0, top, budget), _subset_codes(b, 0, top, budget))
     return top <= b.n and all(x <= y for x, y in levels)
@@ -315,8 +305,7 @@ def stabilized_profile(build, n_max: int, limit: int | None = None,
     so agreement between N and N+1 is taken as stabilisation; both N values
     are returned.
     """
-    if n_max < 0:
-        raise TournamentError("OUT_OF_RANGE", "n_max must be non-negative")
+    _count(n_max, "n_max")
     if limit is None:
         limit = n_max + 3
     prev = None

@@ -8,8 +8,6 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import combinations
-from math import factorial, gcd, prod
 from operator import or_
 
 from . import tfile
@@ -19,6 +17,7 @@ from .core import (
     DESCENDING,
     Tournament,
     TournamentError,
+    _count,
     _group,
     _orbit,
     _search,
@@ -56,6 +55,7 @@ from .formulas import (
     K_CLOSED,
     U_LOWER,
     V_LOWER,
+    _cycle_index_sum,
     formula_value,
 )
 from .profiles import stabilized_profile
@@ -119,7 +119,7 @@ def enumerate_tournaments(n: int) -> list[Tournament]:
     for the life of the process; level 9 is not, so each call for it walks
     the census again and only the caller holds its 191,536 tournaments.
     """
-    if type(n) is int and n in _REPS:  # 2.0 and True hash as 2 and 1; _census refuses them
+    if _count(n, "n") in _REPS:
         return list(_REPS[n])
     reps = [_decode(n, bits) for bits in _census(n)[n]]
     if n <= _REPS_MAX:
@@ -150,11 +150,7 @@ def _census(n: int, keep=None) -> list[array]:
     """
     # the limits of enumerate_tournaments, which the errors name; the CLI
     # walks here directly
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TournamentError("OUT_OF_RANGE", f"n must be an int, got {n!r}")
-    if n < 0:
-        raise TournamentError("OUT_OF_RANGE", "n must be non-negative")
-    if n > 9:
+    if _count(n, "n") > 9:
         raise TournamentError("TOO_LARGE", "enumeration limited to n <= 9",
                               {"consumed": n, "limit": 9, "where": "verify.enumerate_tournaments"})
     # codes have n(n-1)/2 <= 36 bits
@@ -243,10 +239,8 @@ def _check_one_decomposition(t: Tournament, report: SuiteReport, with_oracle: bo
 
 def check_decomposition(n_max: int, samples_per_size: int = 25, seed: int = 20260814) -> SuiteReport:
     """Decomposition laws, exhaustive to min(n_max, 6) and sampled above."""
-    if n_max < 1:
-        raise TournamentError("OUT_OF_RANGE", "n_max must be at least 1")
-    if samples_per_size < 0:
-        raise TournamentError("OUT_OF_RANGE", "samples_per_size must be non-negative")
+    _count(n_max, "n_max", 1)
+    _count(samples_per_size, "samples_per_size")
     report = SuiteReport("decomposition", {"n_max": n_max, "samples_per_size": samples_per_size}, seed=seed)
     rng = random.Random(seed)
     for n in range(1, min(n_max, 6) + 1):
@@ -265,7 +259,7 @@ _PROFILE_NMAX_CAP = 9
 
 def check_profile_formulas(n_max: int) -> SuiteReport:
     """Stabilised family profiles against their closed forms and bounds."""
-    if n_max > _PROFILE_NMAX_CAP:
+    if _count(n_max, "n_max") > _PROFILE_NMAX_CAP:
         raise TournamentError("BUDGET_EXCEEDED", f"n_max above {_PROFILE_NMAX_CAP} is out of budget",
                               {"consumed": n_max, "limit": _PROFILE_NMAX_CAP, "where": "verify.check_profile_formulas"})
     report = SuiteReport("profile_formulas", {"n_max": n_max})
@@ -309,8 +303,7 @@ def check_incomparability(host_size: int = 14) -> SuiteReport:
     checks the ages exactly.  A kind with no member within ``host_size``
     vertices has no host and no avoidance check.
     """
-    if host_size < 0:
-        raise TournamentError("OUT_OF_RANGE", "host size must be non-negative")
+    _count(host_size, "host size")
     report = SuiteReport("incomparability", {"host_size": host_size})
     lengths = {kind: _max_length_within(kind, host_size) for kind in KINDS}
     hosts = {kind: family(kind, length) for kind, length in lengths.items() if length}
@@ -338,8 +331,7 @@ def check_duality(max_chain: int = 5) -> SuiteReport:
     ``schmerl_trotter("v", h)`` is ``family("v", h)``, so ``classical_v_h2``
     and ``classical_v_h3`` compare one tournament with itself; they stay so
     that the report keeps its bytes."""
-    if max_chain < 0:
-        raise TournamentError("OUT_OF_RANGE", "max chain must be non-negative")
+    _count(max_chain, "max chain")
     report = SuiteReport("duality", {"max_chain": max_chain})
     for length in range(2, max_chain + 1):
         desc = ChainSpec(length, DESCENDING)
@@ -359,36 +351,6 @@ def check_duality(max_chain: int = 5) -> SuiteReport:
             report.add(f"classical_{tag}_h{h}", bool(matches), removed_vertex=matches)
         report.add(f"classical_v_h{h}", is_isomorphic(schmerl_trotter("v", h), family("v", h)))
     return report.finish()
-
-
-def _cycle_index_sum(size: int, f) -> list[int]:
-    """Coefficients of x^0..x^size of Davis's cycle index of tournaments
-    (Bull. Math. Biophys. 16, 1954) at p_l = f(x^l), for the power series f
-    with coefficients f[0] = 0, f[1], ...; f(y) = y counts the classes on n
-    vertices (OEIS A000568).
-
-    Burnside over the n! relabelings: a permutation with an even cycle
-    reverses the pair of opposite vertices on it and fixes no tournament.
-    One of odd cycle type lambda fixes 2^e of them, one orientation per orbit
-    on pairs: (l - 1)/2 orbits inside each cycle of length l and gcd(l, l')
-    between two cycles.  Its conjugacy class holds n!/z_lambda permutations,
-    z_lambda = prod over part sizes p of p^m_p * m_p! for multiplicities m_p.
-    """
-    def odd_partitions(room, largest):  # each multiset of odd parts with total <= room
-        yield ()
-        for part in range(min(room, largest), 0, -1):
-            if part % 2:
-                yield from ((part, *rest) for rest in odd_partitions(room - part, part))
-
-    scale, series = factorial(size), [0] * (size + 1)  # z_lambda divides n!, which divides size!
-    for parts in odd_partitions(size, size):
-        exponent = sum((p - 1) // 2 for p in parts) + sum(gcd(a, b) for a, b in combinations(parts, 2))
-        z = prod(parts) * prod(factorial(parts.count(p)) for p in set(parts))
-        term = [(scale // z) << exponent] + [0] * size
-        for l in parts:  # times f(x^l)
-            term = [sum(f[j] * term[i - l * j] for j in range(min(i // l + 1, len(f)))) for i in range(size + 1)]
-        series = [a + b for a, b in zip(series, term)]
-    return [c // scale for c in series]
 
 
 def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
@@ -412,12 +374,10 @@ def check_compactness(n: int, size_bound: int = 8) -> SuiteReport:
       involves p_1 alone, so ``_cycle_index_sum`` at f(y) = y/(1 + y), the
       inverse of y/(1 - y), counts the AI classes.
     """
-    if n not in (2, 3):
+    if type(n) is not int or n not in (2, 3):
         raise TournamentError("DOMAIN", "compactness scan supports chain lengths 2 and 3")
-    if size_bound < 1:
-        # at 0 only the member_* and smallest_empty_size checks remain, and neither can fail
-        raise TournamentError("OUT_OF_RANGE", "size bound must be at least 1")
-    if size_bound > 8:
+    # at least 1: at 0 only the member_* and smallest_empty_size checks remain, and neither can fail
+    if _count(size_bound, "size bound", 1) > 8:
         raise TournamentError("TOO_LARGE", "size bound limited to 8",
                               {"consumed": size_bound, "limit": 8, "where": "verify.check_compactness"})
     report = SuiteReport("compactness", {"n": n, "size_bound": size_bound})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tournkit.core import (
+    CanonicalCode,
     ChainSpec,
     Tournament,
     TournamentError,
@@ -740,6 +741,19 @@ class TestSearchOracle:
         for _ in range(20):
             t = random_tournament(r, n)
             assert _search(t.rows) == oracle_search(t.rows)
+
+
+@pytest.mark.parametrize("t", [random_tournament(random.Random(300), 300), paley(83)], ids=["random300", "paley83"])
+def test_code_decodes_to_the_best_labeling(t):
+    """The code is t's upper triangle in the best leaf's vertex order.  This
+    does not compare the search with itself, so it sees a discrete tail that
+    is wrong the same way in every labeling; these inputs have the longest
+    tails that Tier-1 reaches."""
+    code, _, best, _ = _search(t.rows)
+    perm = [0] * t.n
+    for i, v in enumerate(best):
+        perm[v] = i
+    assert tournament_from_code(CanonicalCode(t.n, code)) == relabel(t, perm)
 
 
 # oracle: the automorphism count as it was before the group search, by

@@ -1,9 +1,11 @@
 """Every module-level import and private helper in the package modules is
-used, every function the bench tracer wraps exists, and only ``core`` reads
-a tournament's private column helpers or builds from an edge list."""
+used, every function the bench tracer wraps exists, only ``core`` reads
+a tournament's private column helpers or builds from an edge list, and
+only ``core._count`` refuses a count as OUT_OF_RANGE."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -121,3 +123,58 @@ def test_finds_a_make_tournament_call():
 def test_constructions_are_built_as_rows(path):
     """Outside core, tournaments are built as rows and checked by Tournament."""
     assert make_tournament_calls(path.read_text()) == 0
+
+
+# the three endings of a refused count; an f-string's placeholders read "…"
+COUNT_ENDING = re.compile(r"must be (non-negative|an int, got .+|at least .+)$")
+
+
+def message_texts(node) -> list[str]:
+    """Every text a message expression can give: a literal, an f-string, or
+    either branch of a conditional."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.JoinedStr):
+        return ["".join(part.value if isinstance(part, ast.Constant) else "…" for part in node.values)]
+    if isinstance(node, ast.IfExp):
+        return message_texts(node.body) + message_texts(node.orelse)
+    return []
+
+
+def hand_count_checks(source: str) -> list[str]:
+    """Messages of the module's TournamentError("OUT_OF_RANGE", ...) literals
+    that refuse a count, outside a top-level function named _count."""
+    tree = ast.parse(source)
+    helper = {id(node) for top in tree.body if isinstance(top, ast.FunctionDef) and top.name == "_count"
+              for node in ast.walk(top)}
+    return [text for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in helper and len(node.args) >= 2
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "TournamentError"
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == "OUT_OF_RANGE"
+            for text in message_texts(node.args[1]) if COUNT_ENDING.search(text)]
+
+
+def test_finds_a_hand_written_count_check():
+    source = (
+        "def _count(value, name, least=0):\n"
+        "    raise TournamentError('OUT_OF_RANGE', f'{name} must be non-negative' if least == 0\n"
+        "                          else f'{name} must be at least {least}')\n\n\n"
+        "def f(n, k, m):\n"
+        "    if n < 0:\n"
+        "        raise TournamentError('OUT_OF_RANGE', 'n must be non-negative')\n"
+        "    if not isinstance(k, int):\n"
+        "        raise core.TournamentError('OUT_OF_RANGE', f'k must be an int, got {k!r}')\n"
+        "    if m < 2:\n"
+        "        raise TournamentError('OUT_OF_RANGE', 'm must be at least 2' if m else f'{m} must be at least 2')\n"
+        "    raise TournamentError('OUT_OF_RANGE', 'caps must be non-negative or UNBOUNDED')\n"
+        "    raise TournamentError('BAD_FILE', 'line 1: vertex count must be non-negative')\n"
+    )
+    assert hand_count_checks(source) == ["n must be non-negative", "k must be an int, got …",
+                                         "m must be at least 2", "… must be at least 2"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_counts_are_checked_by_one_helper(path):
+    """Every size, length and bound is refused by core._count, so each
+    refusal has one wording, bools and floats included."""
+    assert hand_count_checks(path.read_text()) == []

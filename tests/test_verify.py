@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tournkit import core, decomp, profiles, tfile, verify
+from tournkit import core, decomp, formulas, profiles, tfile, verify
 from tournkit.core import (
     CanonicalCode,
     Tournament,
@@ -425,7 +425,7 @@ AI_CLASSES = (1, 1, 0, 1, 2, 5, 26, 255, 4602, 147095, 8228360, 814376271, 14467
 
 def ai_class_counts(size):
     """AI classes on 0..size vertices: the cycle index at f(y) = y/(1 + y)."""
-    return verify._cycle_index_sum(size, [0] + [(-1) ** (j - 1) for j in range(1, size + 1)])
+    return formulas._cycle_index_sum(size, [0] + [(-1) ** (j - 1) for j in range(1, size + 1)])
 
 
 def oracle_ai_class_counts(size_bound):
@@ -440,16 +440,16 @@ def oracle_ai_class_counts(size_bound):
                 by_total, _ = profiles._orbit_counts(perms, [((1, size_bound),) * k], k + 1, size_bound, 0, 10**6)
                 for total, orbits in by_total.items():
                     reducible[total] += orbits
-    return [verify._cycle_index_sum(s, [0, 1])[s] - reducible[s] for s in range(size_bound + 1)]
+    return [formulas._cycle_index_sum(s, [0, 1])[s] - reducible[s] for s in range(size_bound + 1)]
 
 
 class TestClassCounts:
     def test_davis_formula_is_a000568(self):
-        assert tuple(verify._cycle_index_sum(n, [0, 1])[n] for n in range(11)) == A000568
+        assert tuple(formulas._cycle_index_sum(n, [0, 1])[n] for n in range(11)) == A000568
 
     def test_davis_formula_matches_census(self):
         for n in range(9):
-            assert verify._cycle_index_sum(n, [0, 1])[n] == len(enumerate_tournaments(n))
+            assert formulas._cycle_index_sum(n, [0, 1])[n] == len(enumerate_tournaments(n))
 
     def test_ai_counts_are_published_values(self):
         assert tuple(ai_class_counts(12)) == AI_CLASSES
