@@ -155,7 +155,8 @@ def restrict(t: Tournament, vertices) -> Tournament:
     hold.  There are at most min(k+1, n-k) gaps for k of n vertices kept, so
     O(k*min(k+1, n-k)) big-int steps."""
     vs = sorted(set(vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < t.n):
+    # a bool is no vertex; ascending, it can only come first or second, as 0 or 1
+    if vs and not (0 <= vs[0] and vs[-1] < t.n) or bool in map(type, vs[:2]):
         raise TournamentError("OUT_OF_RANGE", f"vertices outside 0..{t.n - 1}")
     rows, b = [t.rows[i] for i in vs], t.n
     for a in reversed([-1] + vs):
@@ -285,23 +286,36 @@ def _search(rows: tuple[int, ...], group: bool = False):
     order, one block of all-ones low bits per cell, as many as the candidate
     beats there, so the least rows are found by keeping, cell by cell, the
     candidates that beat the fewest, until one is left or the cells run out;
-    one loop over the cells then builds that row and the first candidate's
-    split, which its child uses.  A lone candidate is placed in the same
-    frame, which goes on with its split; every return truncates the rows and
-    vertices back to the frame's start depth.  Once every cell is a single
-    vertex the rest of the labeling is fixed, to k vertices vs, and their
-    rows come from packed bit matrices at stride n, one shift per vertex:
-    ``packed`` holds vs[i]'s out-mask as block i, and for each j in turn one
-    shift moves column vs[j] of blocks 0..j-1 at once to bit k-1-j of the
-    same blocks of ``tail``, before vs[j]'s out-mask joins ``packed`` as
-    block j.  Block i of ``tail`` then holds, at bit k-1-j, whether vs[i]
-    beats vs[j], for every later j and nothing else: vs[i]'s row over the
-    later vertices, the first one highest, as a bit-by-bit loop over them
-    would build it.  A node above the best code and off the first leaf's
-    code is cut.  A leaf equal to the first or best leaf gives an automorphism generator and a
-    jump back to the two leaves' common ancestor.  A candidate in the orbit of
-    an explored sibling under the generators fixing the placed vertices is
-    skipped (McKay & Piperno, "Practical graph isomorphism, II", 2014).
+    one loop over the cells then builds the first candidate's split, which
+    its child uses, and that row too when a test below reads it.  A lone
+    candidate is placed in the same frame, which goes on with its split;
+    every return truncates the vertices back to the frame's start depth.
+
+    A node's row is read only while the prefix's rows equal the first
+    leaf's (``same_first``) or the best leaf's (``vs_best == 0``): to cut
+    the node, or, at a leaf, to find an automorphism generator.  Only then
+    is it built; both flags start False and -1, so the path to the first
+    leaf builds none.  Along a path the flags only fall, except when a child
+    stores a new best, whose prefix is the frame's own (the first leaf is
+    the first best): so every row that a test reads was built, and a leaf
+    reached with a flag still up had every row compared.  Once every cell
+    is a single vertex the rest of the labeling is fixed, to k vertices vs.
+    A leaf reached with a flag up builds the code of vs's rows to test them;
+    a leaf stored as the first or a new best builds the code of its whole
+    labeling, all n rows; a generator leaf stores nothing.  A code is its
+    rows joined, row d in n-1-d bits above the later rows, so row d of a
+    stored code is one shift and mask, and the tail's rows compare at once,
+    in the code's low bits.  Each code comes from one gather over strings:
+    in vs's in-masks as binary digits, joined in order, the slice of stride
+    n + 3 from vs[j]'s digit in vs[j+1]'s string is vs[j]'s row over the
+    later vertices, the first one highest, and one ``int`` reads all the
+    slices joined.  That reads O(k*n) digits, where a shift per vertex over
+    packed bit matrices moves O(k*k*n) bits.  A node above the best code
+    and off the first leaf's code is cut.  A leaf equal to the first or best
+    leaf gives an automorphism generator and a jump back to the two leaves'
+    common ancestor.  A candidate in the orbit of an explored sibling under
+    the generators fixing the placed vertices is skipped (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).
 
     With ``group`` the search is for the automorphism group alone: a node is
     cut as soon as one of its rows differs from the first leaf's, whatever
@@ -315,15 +329,21 @@ def _search(rows: tuple[int, ...], group: bool = False):
     labeling are the first leaf's, not the lex-min ones.
     """
     n = len(rows)
-    full = (1 << n) - 1
-    ones = ((1 << n * n) - 1) // full if n else 0  # bit 0 of each of n blocks at stride n
-    first = best = first_order = best_order = None
+    full, top = (1 << n) - 1, (2 << n) - 1
+    first = best = first_order = best_order = None  # first and best are the two leaves' codes
     gens: list[tuple[list[int], int]] = []  # (image of each vertex, moved vertices)
-    cur: list[int] = []  # rows emitted so far
     order: list[int] = []  # vertices placed so far
 
+    def leaf_code(vs):
+        # "0b1" and vs[i]'s in-mask, bit n-1 first, is block i of n + 3 digits, so
+        # digit i*(n+3) + n+2-u says whether u beats vs[i]
+        digits = "".join([bin(top ^ rows[u]) for u in vs])
+        starts = zip(range(2 * n + 5, len(digits), n + 3), vs)  # vs[j]'s digit in vs[j+1]'s string
+        return int("".join([digits[s - u::n + 3] for s, u in starts]) or "0", 2)
+
     def rec(cells, d, placed, same_first, vs_best):
-        # same_first: prefix equals the first leaf's; vs_best: sign of prefix - best
+        # same_first: prefix equals the first leaf's; vs_best: sign of prefix - best;
+        # False and -1 until the first leaf, so that no row is built on its path
         nonlocal first, best, first_order, best_order
         start = d  # lone candidates are placed in this frame; every return truncates back here
         while len(cells) < n - d:
@@ -342,55 +362,61 @@ def _search(rows: tuple[int, ...], group: bool = False):
                     elif k == least:
                         targets |= low
             low = targets & -targets
-            rv, low_row, split = rows[low.bit_length() - 1], 0, []
-            for c in (head ^ low, *rest):  # the least row and the first candidate's split
-                win = c & rv
-                low_row = (low_row << c.bit_count()) | ((1 << win.bit_count()) - 1)
-                if c != win:
-                    split.append(c ^ win)
-                if win:
-                    split.append(win)
-            if first is not None:
-                same_first = same_first and low_row == first[d]
+            rv = rows[low.bit_length() - 1]
+            if same_first or vs_best == 0:  # a cut or a generator reads this row
+                low_row, split = 0, []
+                for c in (head ^ low, *rest):  # the least row and the first candidate's split
+                    win = c & rv
+                    low_row = (low_row << c.bit_count()) | ((1 << win.bit_count()) - 1)
+                    if c != win:
+                        split.append(c ^ win)
+                    if win:
+                        split.append(win)
+                w = n - 1 - d  # row d's width; the later rows fill the code's low w*(w-1)/2 bits
+                shift, mask = w * (w - 1) >> 1, (1 << w) - 1
+                same_first = same_first and low_row == first >> shift & mask
                 if vs_best == 0:
-                    vs_best = (low_row > best[d]) - (low_row < best[d])
+                    ref = best >> shift & mask
+                    vs_best = (low_row > ref) - (low_row < ref)
                 if not same_first and (group or vs_best > 0):
-                    del cur[start:], order[start:]
+                    del order[start:]
                     return n
-            cur.append(low_row)
+            else:  # the same split, without the row that no test reads
+                split = []
+                for c in (head ^ low, *rest):
+                    win = c & rv
+                    if c != win:
+                        split.append(c ^ win)
+                    if win:
+                        split.append(win)
             if targets != low:
                 break
             order.append(low.bit_length() - 1)
             cells, d, placed = split, d + 1, placed | low
         else:  # discrete: the rest of the labeling is fixed
             vs = [c.bit_length() - 1 for c in cells]
-            k, packed, tail = len(vs), 0, 0
-            for j, u in enumerate(vs):
-                # column u of blocks 0..j-1 to bit k-1-j; then u's row is block j
-                tail |= (packed >> u & ones) << k - 1 - j
-                packed |= rows[u] << j * n
-            for i in range(k):
-                row = tail >> i * n & full
-                if first is not None:
-                    same_first = same_first and row == first[d + i]
-                    if vs_best == 0:
-                        vs_best = (row > best[d + i]) - (row < best[d + i])
-                    if not same_first and (group or vs_best > 0):
-                        del cur[start:], order[start:]
-                        return n
-                cur.append(row)
+            if same_first or vs_best == 0:
+                # rows d.. fill a code's low bits, and compare as their rows do one by one
+                tail, mask = leaf_code(vs), (1 << (len(vs) * (len(vs) - 1) >> 1)) - 1
+                same_first = same_first and tail == first & mask
+                if vs_best == 0:
+                    ref = best & mask
+                    vs_best = (tail > ref) - (tail < ref)
+                if not same_first and (group or vs_best > 0):
+                    del order[start:]
+                    return n
             order.extend(vs)
             jump = n
-            if first is not None and (same_first or vs_best == 0):
+            if same_first or vs_best == 0:
                 ref = first_order if same_first else best_order
                 moved = sum(1 << a for a, b in zip(ref, order) if a != b)
                 gens.append(([b for _, b in sorted(zip(ref, order))], moved))
                 jump = next(i for i in range(n) if ref[i] != order[i])
             else:
-                best, best_order = cur.copy(), order.copy()
+                best, best_order = leaf_code(order), order.copy()
                 if first is None:
                     first, first_order = best, best_order
-            del cur[start:], order[start:]
+            del order[start:]
             return jump
         explored = orbits = 0
         seen, jump = -1, n  # a jump to depth d or deeper resumes the loop here
@@ -409,17 +435,14 @@ def _search(rows: tuple[int, ...], group: bool = False):
             order.append(low.bit_length() - 1)
             jump = rec(split, d + 1, placed | low, same_first, vs_best)
             order.pop()
-            if best is not before:  # a new best below shares this prefix
-                vs_best = 0
+            if best != before:  # a new best below shares this prefix; if it is the first leaf, so does first
+                vs_best, same_first = 0, same_first or before is None
             explored, orbits, seen = explored | low, orbits | low, -1
-        del cur[start:], order[start:]
+        del order[start:]
         return jump
 
-    rec([full] if n else [], 0, 0, True, -1)
-    code = 0
-    for d, rowbits in enumerate(best):
-        code = (code << (n - 1 - d)) | rowbits
-    return code, first_order, best_order, gens
+    rec([full] if n else [], 0, 0, False, -1)
+    return best, first_order, best_order, gens
 
 
 def _cached_bits(rows: tuple[int, ...]) -> int:
@@ -538,7 +561,7 @@ def automorphism_count(t: Tournament) -> int:
 def relabel(t: Tournament, perm) -> Tournament:
     """Image of t under the permutation perm (vertex i goes to perm[i])."""
     perm = list(perm)
-    if sorted(perm) != list(range(t.n)):
+    if sorted(perm) != list(range(t.n)) or bool in map(type, perm):
         raise TournamentError("OUT_OF_RANGE", "not a permutation of the vertices")
     rows = [0] * t.n
     for i, r in enumerate(t.rows):

@@ -37,7 +37,7 @@ def is_autonomous(t: Tournament, subset) -> bool:
     """Every outside vertex relates uniformly to the whole subset."""
     mask = 0
     for v in subset:
-        if not 0 <= v < t.n:
+        if not 0 <= v < t.n or type(v) is bool:
             raise TournamentError("OUT_OF_RANGE", f"vertex {v} outside 0..{t.n - 1}")
         mask |= 1 << v
     return all(t.rows[y] & mask in (0, mask) for y in range(t.n) if not mask >> y & 1)
@@ -69,7 +69,7 @@ def separated(t: Tournament, x: int, y: int) -> SeparationWitness | None:
     double diamond with x and y as its end vertices; ties break by vertex
     order.  Returns None when x and y do share an acyclic autonomous set.
     """
-    if not (0 <= x < t.n and 0 <= y < t.n):
+    if not (0 <= x < t.n and 0 <= y < t.n) or bool in (type(x), type(y)):
         raise TournamentError("OUT_OF_RANGE", f"pair ({x},{y}) outside 0..{t.n - 1}")
     if x == y:
         return None

@@ -306,8 +306,7 @@ def stabilized_profile(build, n_max: int, limit: int | None = None,
     are returned.
     """
     _count(n_max, "n_max")
-    if limit is None:
-        limit = n_max + 3
+    limit = n_max + 3 if limit is None else _count(limit, "limit")
     prev = None
     prev_n = None
     for size in range(2, limit + 1):

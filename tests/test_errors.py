@@ -13,6 +13,7 @@ from tournkit.core import (
     cycle3,
     make_tournament,
     relabel,
+    restrict,
     skew_product,
     tournament_from_code,
 )
@@ -130,6 +131,13 @@ def c3_member(size):
         (lambda: schmerl_trotter("t", 2.5), "OUT_OF_RANGE: h must be an int, got 2.5"),
         (lambda: schmerl_trotter("t", True), "OUT_OF_RANGE: h must be an int, got True"),
         (lambda: schmerl_trotter("t", -1), "H_TOO_SMALL: need h >= 2"),
+        (lambda: restrict(cycle3(), [True, 2]), "OUT_OF_RANGE: vertices outside 0..2"),
+        (lambda: relabel(cycle3(), [True, 0, 2]), "OUT_OF_RANGE: not a permutation of the vertices"),
+        (lambda: separated(cycle3(), True, 2), "OUT_OF_RANGE: pair (True,2) outside 0..2"),
+        (lambda: is_autonomous(cycle3(), [True, 2]), "OUT_OF_RANGE: vertex True outside 0..2"),
+        (lambda: stabilized_profile(c3_member, 3, limit=2.5), "OUT_OF_RANGE: limit must be an int, got 2.5"),
+        (lambda: stabilized_profile(c3_member, 3, limit=True), "OUT_OF_RANGE: limit must be an int, got True"),
+        (lambda: stabilized_profile(c3_member, 3, limit=-1), "OUT_OF_RANGE: limit must be non-negative"),
     ],
     ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "chain_length_float",
          "chain_length_str", "chain_length_bool", "orientation", "chain_float_length",
@@ -147,7 +155,9 @@ def c3_member(size):
          "incomparability_float", "incomparability_bool", "duality_float", "duality_bool",
          "compactness_float_bound", "compactness_bool_bound", "compactness_float_n", "compactness_bool_n",
          "caps_float", "caps_str", "caps_bool", "formula_float_n", "formula_bool_n", "totient_float",
-         "totient_bool", "st_float_h", "st_bool_h", "st_negative_h"],
+         "totient_bool", "st_float_h", "st_bool_h", "st_negative_h", "restrict_bool_vertex",
+         "relabel_bool_vertex", "separated_bool_vertex", "is_autonomous_bool_vertex", "stabilized_float_limit",
+         "stabilized_bool_limit", "stabilized_negative_limit"],
 )
 def test_input_check(call, message):
     with pytest.raises(TournamentError) as e:
