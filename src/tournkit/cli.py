@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -29,8 +30,13 @@ CLOSED_STDOUT_EXIT = 141  # 128 + SIGPIPE, what a shell shows for a writer SIGPI
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # one document, written in slices no longer than a buffer: a longer write
+    # goes straight to the file, and a reader that leaves while it is under
+    # way can cut it short without an error (seen on CPython 3.11), so a
+    # closed stdout would not show
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        sys.stdout.write(text[start:start + io.DEFAULT_BUFFER_SIZE])
 
 
 def _matrix(t: Tournament) -> list[str]:

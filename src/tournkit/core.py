@@ -49,14 +49,17 @@ class Tournament:
             self._validate()
 
     def _validate(self):
-        n = self.n
+        n = _count(self.n, "n", None)
         if n < 0:
             raise TournamentError("OUT_OF_RANGE", "negative vertex count")
         if len(self.rows) != n:
             raise TournamentError("ARITY_MISMATCH", f"expected {n} rows, got {len(self.rows)}")
         full = (1 << n) - 1
+        outside = ~full
         for i, r in enumerate(self.rows):
-            if r & ~full:
+            if type(r) is not int:  # a bool, a float or an int subclass
+                _count(r, f"row {i}", None)
+            if r & outside:
                 raise TournamentError("OUT_OF_RANGE", f"row {i} has bits outside 0..{n - 1}")
             if (r >> i) & 1:
                 raise TournamentError("SELF_LOOP", f"vertex {i} beats itself")
@@ -429,8 +432,13 @@ def _search(rows: tuple[int, ...], group: bool = False):
                     orbits = _orbit(explored, [g for g, moved in gens if not moved & placed])
                 if low & orbits:
                     continue
-                rv = rows[low.bit_length() - 1]
-                split = [x for c in (head ^ low, *rest) for x in (c & ~rv, c & rv) if x]
+                rv, split = rows[low.bit_length() - 1], []
+                for c in (head ^ low, *rest):  # as the first candidate's split is built
+                    win = c & rv
+                    if c != win:
+                        split.append(c ^ win)
+                    if win:
+                        split.append(win)
             before = best
             order.append(low.bit_length() - 1)
             jump = rec(split, d + 1, placed | low, same_first, vs_best)
@@ -462,17 +470,16 @@ def canonical_form(t: Tournament) -> CanonicalCode:
 
 def tournament_from_code(code: CanonicalCode) -> Tournament:
     """Decode a canonical code back into a concrete tournament."""
-    n = code.n
-    rows = [0] * n
-    pos = n * (n - 1) // 2
+    n, bits = _count(code.n, "n", None), _count(code.bits, "code bits", None)
     if n < 0:
         raise TournamentError("OUT_OF_RANGE", "negative vertex count")
-    if code.bits < 0 or code.bits >> pos:
+    rows, pos = [0] * n, n * (n - 1) // 2
+    if bits < 0 or bits >> pos:
         raise TournamentError("OUT_OF_RANGE", f"code bits outside 0..2**{pos}-1 for n={n}")
     for i in range(n):
         for j in range(i + 1, n):
             pos -= 1
-            if (code.bits >> pos) & 1:
+            if (bits >> pos) & 1:
                 rows[i] |= 1 << j
             else:
                 rows[j] |= 1 << i

@@ -157,18 +157,24 @@ def _least_partition(t: Tournament, mask: int):
     return parts, reps, forces, forced_by
 
 
-def _maximal_modules(t: Tournament, mask: int, partition=None) -> list[int]:
-    """Maximal modules of a strongly connected t|mask other than mask, read
-    from P(mask, v) or from P(M, v) of a strong module M holding mask and v:
-    the parts in mask that reach all of them, the forcing relation's one
-    source component, are maximal modules; the others join v."""
-    parts, reps, forces, forced_by = partition or _least_partition(t, mask)
-    unseen = reps = reps & mask
-    for r in parts:  # the root of the last search over unseen parts reaches them all
-        if unseen >> r & 1:
-            root, unseen = r, unseen & ~_reach(1 << r, forces, unseen)
-    modules = [parts[r] for r in _bits(_reach(1 << root, forced_by, reps))]
-    return sorted(modules + [mask ^ sum(modules)])
+def _condensation(forces: dict[int, int], forced_by: dict[int, int], live: int) -> list[int]:
+    """Strong components of the forcing relation on the parts keyed in live,
+    sources first (Kosaraju): a depth-first search along forces orders the
+    parts by finishing time, and the last to finish of those left heads the
+    component of the parts that force it."""
+    order, stack, unseen = [], [], live
+    while stack or unseen:
+        if succ := (forces[stack[-1]] & unseen if stack else unseen):
+            unseen ^= succ & -succ
+            stack.append((succ & -succ).bit_length() - 1)
+        else:
+            order.append(stack.pop())
+    components = []
+    for r in reversed(order):
+        if live >> r & 1:
+            components.append(_reach(1 << r, forced_by, live))
+            live ^= components[-1]
+    return components
 
 
 def _strong_tree(t: Tournament) -> dict[int, tuple[str, list[int]]]:
@@ -177,20 +183,50 @@ def _strong_tree(t: Tournament) -> dict[int, tuple[str, list[int]]]:
     order, or, if strongly connected, PRIME with its maximal proper modules,
     which hold every smaller module.  Polynomial; singletons are leaves.
 
-    One P(M, v) serves each strong module C in M that holds M's least vertex
-    v: the parts inside C are P(C, v), as a module of the module C is a
-    module of t|M and no part overlaps C.  So each chain of nested nodes
-    holding v, LINEAR ones included, refines once (Ehrenfeucht, Gabow,
-    McConnell and Sullivan, J. Algorithms 16, 1994)."""
+    A strongly connected M with least vertex v heads a chain of nested nodes
+    holding v, all read from one P(M, v): the parts inside such a node C are
+    P(C, v), as a module of the module C is a module of t|M and no part
+    overlaps C (Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16,
+    1994).  Each node's children other than the one holding v are a layer of
+    the forcing relation's strong components: one component of 2+ parts for
+    a PRIME node, one or two single parts, beating v's strong component or
+    beaten by it, for a LINEAR one.  Each layer reaches every deeper one and
+    no LINEAR node holds another, so the condensation, sources first, lists
+    the layers in order, each run of single parts being one.  It costs one
+    depth-first search and one ``_reach`` per component, O(p) steps on masks
+    of the p parts; a chain of one node goes without it, as the root search
+    below finds its one layer."""
     tree = {}
-    todo = [((1 << t.n) - 1, None)] if t.n != 1 else []
+    todo = [(1 << t.n) - 1] if t.n != 1 else []
     while todo:
-        mask, partition = todo.pop()
-        children = _strong_components(t, mask)
-        if len(children) == 1:  # strongly connected
-            partition = partition or _least_partition(t, mask)
-        tree[mask] = (LINEAR, children) if len(children) != 1 else (PRIME, _maximal_modules(t, mask, partition))
-        todo += ((c, partition if c & mask & -mask else None) for c in tree[mask][1] if c & (c - 1))
+        node = todo.pop()
+        children = _strong_components(t, node)
+        if len(children) != 1:
+            tree[node] = (LINEAR, children)
+            todo += (c for c in children if c & (c - 1))
+            continue
+        parts, reps, forces, forced_by = _least_partition(t, node)
+        unseen = reps
+        for r in parts:  # the root of the last search over unseen parts reaches them all
+            if unseen >> r & 1:
+                root, unseen = r, unseen & ~_reach(1 << r, forces, unseen)
+        first = _reach(1 << root, forced_by, reps)
+        layers = [(PRIME, first)]
+        if first != reps:  # key 0 groups the single parts of a LINEAR layer
+            runs = itertools.groupby(_condensation(forces, forced_by, reps ^ first), lambda c: c & (c - 1) and c)
+            layers += ((PRIME if key else LINEAR, reduce(or_, run)) for key, run in runs)
+        for kind, layer in layers:
+            modules = [parts[r] for r in _bits(layer)]
+            inner = node ^ sum(modules)
+            if kind == LINEAR:  # v's strong component after those beating it
+                outer, vrow = node ^ inner, t.rows[(node & -node).bit_length() - 1]
+                comps = _strong_components(t, outer) if outer & (outer - 1) else modules
+                children = [c for c in comps if not c & vrow] + [inner] + [c for c in comps if c & vrow]
+            else:
+                children = sorted(modules + [inner])
+            tree[node] = (kind, children)
+            todo += (c for c in children if c & (c - 1) and c != inner)
+            node = inner
     return tree
 
 

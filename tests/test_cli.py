@@ -814,6 +814,20 @@ class TestQueries:
         assert proc.returncode == cli.CLOSED_STDOUT_EXIT
         assert err == b""
 
+    def test_closed_stdout_ends_quietly_after_one_document(self, tmp_path):
+        # decompose writes one JSON document, here of about 100 kB for the
+        # 319-vertex quotient of family("k", 160): more than the pipe holds
+        path = tmp_path / "k160.tournament"
+        dump_path(family("k", 160), str(path))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen([sys.executable, "-m", "tournkit", "decompose", str(path)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(100).startswith(b'{\n  "acyclically_indecomposable": false,')
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == cli.CLOSED_STDOUT_EXIT
+        assert err == b""
+
 
 class TestVerifyCommand:
     def test_duality_passes(self, capsys):

@@ -27,7 +27,8 @@ from tournkit.decomp import (
     THREE_CYCLE,
     _bits,
     _is_monomorphic_in,
-    _maximal_modules,
+    _least_partition,
+    _reach,
     _strong_components,
     _strong_tree,
     _subset_code_table,
@@ -44,7 +45,7 @@ from tournkit.families import KINDS, descending, family
 from tournkit.verify import enumerate_tournaments
 
 from conftest import all_labeled_tournaments, random_tournament
-from test_core import diamond, tournaments
+from test_core import diamond, paley, tournaments
 
 
 # The pair-closure decomposition that the strong-module tree replaced, kept
@@ -184,6 +185,25 @@ def oracle_maximal_modules(t, mask):
         else:
             own |= part
     return sorted(modules + [own])
+
+
+# The maximal modules of a prime node as they were found before each chain of
+# nested strong modules was read from one condensation: the forcing
+# relation's source component, searched for at every node, kept verbatim.
+
+
+def _maximal_modules(t: Tournament, mask: int, partition=None) -> list[int]:
+    """Maximal modules of a strongly connected t|mask other than mask, read
+    from P(mask, v) or from P(M, v) of a strong module M holding mask and v:
+    the parts in mask that reach all of them, the forcing relation's one
+    source component, are maximal modules; the others join v."""
+    parts, reps, forces, forced_by = partition or _least_partition(t, mask)
+    unseen = reps = reps & mask
+    for r in parts:  # the root of the last search over unseen parts reaches them all
+        if unseen >> r & 1:
+            root, unseen = r, unseen & ~_reach(1 << r, forces, unseen)
+    modules = [parts[r] for r in _bits(_reach(1 << root, forced_by, reps))]
+    return sorted(modules + [mask ^ sum(modules)])
 
 
 # _strong_tree before one partition was handed down each chain of nested
@@ -475,12 +495,14 @@ class TestClosure:
         # the farthest pair's closure is the whole chain and joins every pair
         long_chain = chain(160)
         assert _closure(long_chain, 0, 159) == (1 << 160) - 1
-        # a chain is one LINEAR node of leaves: no PRIME node, so no search
-        # for maximal modules
-        calls = []
-        monkeypatch.setattr(decomp, "_maximal_modules", lambda t, mask: calls.append(mask))
-        assert acyclic_components(long_chain).blocks == (tuple(range(160)),)
-        assert calls == []
+        # a chain is one LINEAR node of leaves: no PRIME node, so no
+        # partition to read maximal modules from
+        calls, least_partition = [], decomp._least_partition
+        monkeypatch.setattr(decomp, "_least_partition", lambda t, mask: calls.append(mask) or least_partition(t, mask))
+        d = acyclic_components(long_chain)
+        assert d.blocks == (tuple(range(160)),)
+        assert d.tree == {(1 << 160) - 1: (LINEAR, [1 << v for v in range(160)])}
+        assert calls == [] and prime_children(long_chain) == {}
 
     def test_blocks_are_classes_of_together(self):
         # pairs skipped as already joined must agree with their own closure
@@ -641,8 +663,14 @@ class TestStrongTree:
         assert monomorphic_components(t) == acyclic_components(t).blocks
 
 
-def prime_nodes(t):
-    return [mask for mask, (kind, _) in _strong_tree(t).items() if kind == PRIME]
+def prime_children(t):
+    """Each PRIME node of the strong-module tree mapped to its children."""
+    return {mask: children for mask, (kind, children) in _strong_tree(t).items() if kind == PRIME}
+
+
+def assert_prime_children_match_oracle(t):
+    for mask, children in prime_children(t).items():
+        assert children == oracle_maximal_modules(t, mask)
 
 
 class TestMaximalModules:
@@ -652,36 +680,31 @@ class TestMaximalModules:
                 perm = list(range(n))
                 rng.shuffle(perm)
                 for u in (t, relabel(t, perm)):
-                    for mask in prime_nodes(u):
-                        assert _maximal_modules(u, mask) == oracle_maximal_modules(u, mask)
+                    assert_prime_children_match_oracle(u)
 
     def test_matches_oracle_random(self):
         rng = random.Random(40)
         for _ in range(200):
-            t = random_tournament(rng, rng.randint(3, 40))
-            for mask in prime_nodes(t):
-                assert _maximal_modules(t, mask) == oracle_maximal_modules(t, mask)
+            assert_prime_children_match_oracle(random_tournament(rng, rng.randint(3, 40)))
 
     def test_matches_oracle_families_and_nested_sums(self):
-        cases = [family(kind, length) for kind in KINDS for length in range(1, 15)] + NESTED
-        for t in cases:
-            for mask in prime_nodes(t):
-                assert _maximal_modules(t, mask) == oracle_maximal_modules(t, mask)
+        for t in [family(kind, length) for kind in KINDS for length in range(1, 15)] + NESTED:
+            assert_prime_children_match_oracle(t)
 
     def test_k_family_without_closures(self, monkeypatch):
         # 19 nested prime nodes, whose modules the oracle finds by 399 closures
         t = family("k", 20)
-        masks = prime_nodes(t)
         closures, columns, closure = [], [], _closure
         monkeypatch.setitem(globals(), "_closure", lambda t, x, y: closures.append((x, y)) or closure(t, x, y))
-        want = [oracle_maximal_modules(t, mask) for mask in masks]
-        assert (len(masks), len(closures)) == (19, 399)
-        # each closure reads the column of every vertex it adds; the forcing
-        # relation reads at most one column per part, fewer than |mask| of them
+        want = {mask: oracle_maximal_modules(t, mask) for mask in prime_children(t)}
+        assert (len(want), len(closures)) == (19, 399)
+        # each closure reads the column of every vertex it adds; the tree
+        # reads at most one column per part of its one partition, fewer than
+        # the vertices of one node
         in_mask = Tournament.in_mask
         monkeypatch.setattr(Tournament, "in_mask", lambda self, v: columns.append(v) or in_mask(self, v))
-        assert [_maximal_modules(t, mask) for mask in masks] == want
-        assert len(columns) < sum(mask.bit_count() for mask in masks)
+        assert prime_children(t) == want
+        assert len(columns) < t.n
 
 
 def random_nested_lex_sum(rng, depth):
@@ -710,7 +733,7 @@ class TestTreeHandDown:
     def test_matches_per_node_oracle_families(self):
         rng = random.Random(22)
         for kind in KINDS:
-            for length in range(1, 25):
+            for length in range(1, 41):
                 for spec in (length, descending(length)):
                     assert_tree_matches_per_node_oracle(family(kind, spec), rng)
 
@@ -738,3 +761,33 @@ class TestTreeHandDown:
         assert partitions(family("k", descending(20))) == 19
         # the partition passes through the LINEAR node between the two 3-cycles
         assert partitions(lex_sum(cycle3(), [lex_sum(chain(2), [cycle3(), chain(1)]), chain(1), chain(1)])) == 1
+
+    def test_one_condensation_per_chain(self, monkeypatch):
+        # family("k", 160) nests 159 PRIME nodes and one LINEAR node around
+        # vertex 0: one partition and one condensation serve the whole chain,
+        # and only the root is sorted into strong components
+        calls = {"_least_partition": 0, "_strong_components": 0, "_condensation": 0}
+        for name in calls:
+            def counted(*args, name=name, f=getattr(decomp, name)):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(decomp, name, counted)
+        t = family("k", 160)
+        tree = _strong_tree(t)
+        assert calls == {"_least_partition": 1, "_strong_components": 1, "_condensation": 1}
+        assert sorted(kind for kind, _ in tree.values()) == [LINEAR] + [PRIME] * 159
+        monkeypatch.undo()
+        assert tree == oracle_strong_tree(t)
+
+    def test_one_node_chain_skips_the_condensation(self, monkeypatch):
+        # a PRIME node whose other children are all leaves and a LINEAR node
+        # holding a 3-cycle: neither has a second node around its least vertex
+        calls, condensation = [], decomp._condensation
+        monkeypatch.setattr(decomp, "_condensation", lambda *args: calls.append(args) or condensation(*args))
+        for t in (cycle3(), family("c3", 12), family("t", 20), paley(19)):
+            assert _strong_tree(t) == oracle_strong_tree(t)
+        assert calls == []
+        # a LINEAR node between two PRIME ones: the chain around vertex 0 has three nodes
+        t = lex_sum(cycle3(), [lex_sum(chain(2), [cycle3(), chain(1)]), chain(1), chain(1)])
+        assert _strong_tree(t) == oracle_strong_tree(t)
+        assert len(calls) == 1

@@ -138,6 +138,14 @@ def c3_member(size):
         (lambda: stabilized_profile(c3_member, 3, limit=2.5), "OUT_OF_RANGE: limit must be an int, got 2.5"),
         (lambda: stabilized_profile(c3_member, 3, limit=True), "OUT_OF_RANGE: limit must be an int, got True"),
         (lambda: stabilized_profile(c3_member, 3, limit=-1), "OUT_OF_RANGE: limit must be non-negative"),
+        (lambda: Tournament(True, [0]), "OUT_OF_RANGE: n must be an int, got True"),
+        (lambda: Tournament(2.0, [2, 1]), "OUT_OF_RANGE: n must be an int, got 2.0"),
+        (lambda: Tournament(2, [2.0, 1]), "OUT_OF_RANGE: row 0 must be an int, got 2.0"),
+        (lambda: Tournament(2, [0, True]), "OUT_OF_RANGE: row 1 must be an int, got True"),
+        (lambda: tournament_from_code(CanonicalCode(True, 0)), "OUT_OF_RANGE: n must be an int, got True"),
+        (lambda: tournament_from_code(CanonicalCode(2.5, 0)), "OUT_OF_RANGE: n must be an int, got 2.5"),
+        (lambda: tournament_from_code(CanonicalCode(3, 2.0)), "OUT_OF_RANGE: code bits must be an int, got 2.0"),
+        (lambda: tournament_from_code(CanonicalCode(3, True)), "OUT_OF_RANGE: code bits must be an int, got True"),
     ],
     ids=["negative_n", "arity", "bits_outside", "self_loop", "chain_length", "chain_length_float",
          "chain_length_str", "chain_length_bool", "orientation", "chain_float_length",
@@ -157,7 +165,8 @@ def c3_member(size):
          "caps_float", "caps_str", "caps_bool", "formula_float_n", "formula_bool_n", "totient_float",
          "totient_bool", "st_float_h", "st_bool_h", "st_negative_h", "restrict_bool_vertex",
          "relabel_bool_vertex", "separated_bool_vertex", "is_autonomous_bool_vertex", "stabilized_float_limit",
-         "stabilized_bool_limit", "stabilized_negative_limit"],
+         "stabilized_bool_limit", "stabilized_negative_limit", "bool_n", "float_n", "float_row", "bool_row",
+         "code_bool_n", "code_float_n", "code_float_bits", "code_bool_bits"],
 )
 def test_input_check(call, message):
     with pytest.raises(TournamentError) as e:
